@@ -56,8 +56,8 @@ add_test(NAME chaos_soak_smoke COMMAND bench_chaos_soak --smoke)
 # message authenticates or the flagship fleets fall below scale.
 add_test(NAME fleet_scale_smoke COMMAND bench_fleet_scale --smoke)
 
-# Batched-crypto equivalence smoke: exits non-zero when any multi-lane
-# digest diverges from the scalar oracle.
+# HMAC midstate equivalence smoke: exits non-zero when a midstate MAC
+# diverges from the pad-recomputing reference.
 add_test(NAME crypto_throughput_smoke COMMAND bench_crypto_throughput --smoke)
 
 # Relay-hardening soak: the standard fleet chaos cases (crash/restart,

@@ -30,8 +30,9 @@ Two suites share the harness:
                      per flagship topology, cohort drains sharded across
                      the pool, plus the --smoke pass CI gates on) ->
                      BENCH_fleet.json, schema dap.bench_fleet.v2
-  --suite crypto     the batched-crypto throughput bench (digest-checksum
-                     CSV as the identity contract, speedup gauges as the
+  --suite crypto     the HMAC midstate-vs-pads throughput bench
+                     (digest-checksum CSV as the identity contract, the
+                     bench.crypto.hmac_midstate_speedup gauge as the
                      gated trajectory) -> BENCH_crypto.json, schema
                      dap.bench_crypto.v1
   --suite game       the evolutionary-game loop bench (adaptive-attacker
@@ -42,7 +43,8 @@ Two suites share the harness:
 
 Stdlib only. Usage:
 
-  scripts/bench_baseline.py [--suite parallel|fleet] [--build BUILD_DIR]
+  scripts/bench_baseline.py [--suite parallel|fleet|crypto|game]
+                            [--build BUILD_DIR]
                             [--threads N] [--out FILE]
 
 Defaults: --build build, --threads os.cpu_count(), --out
@@ -78,11 +80,11 @@ SUITES = {
         "dap.bench_crypto.v1",
         "BENCH_crypto.json",
         [
-            # Full run: the speedup gauges (bench.crypto.*_speedup) are
-            # the host-stable throughput trajectory bench_trend.py gates;
-            # the CSV carries only counts + digest checksums, so the
-            # 1-vs-N-thread identity check covers the batched backend's
-            # bit-exactness contract.
+            # Full run: the HMAC midstate speedup gauge
+            # (bench.crypto.hmac_midstate_speedup) is the host-stable
+            # throughput trajectory bench_trend.py gates; the CSV carries
+            # only counts + digest checksums, so the 1-vs-N-thread
+            # identity check covers the midstate path's bit-exactness.
             ("crypto_throughput", "bench/crypto_throughput", []),
             # The smoke pass is what CI runs and gates.
             ("crypto_throughput_smoke", "bench/crypto_throughput",

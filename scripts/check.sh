@@ -29,8 +29,9 @@ echo "== bench trend: pinned fleet-chaos smoke vs checked-in baseline =="
   bench/fleet_scale --chaos --smoke >/dev/null)
 python3 scripts/bench_trend.py --baseline BENCH_fleet.json \
   --run build/bench_out/runs/check-fleet-chaos-smoke
-# Batched-crypto throughput gate: digest equivalence is the bench's own
-# exit code; the speedup gauges are trend-checked against BENCH_crypto.json.
+# Crypto throughput gate: midstate-vs-pads digest equivalence is the
+# bench's own exit code; the HMAC midstate speedup gauge is trend-checked
+# against BENCH_crypto.json.
 (cd build && DAP_RUN_ID=check-crypto-smoke \
   bench/crypto_throughput --smoke >/dev/null)
 python3 scripts/bench_trend.py --baseline BENCH_crypto.json \
@@ -83,7 +84,7 @@ cmake --build build-tsan
 # fleet runs share the pool with cooperative-verification drains.
 TSAN_OPTIONS=halt_on_error=1 DAP_THREADS=4 \
   ctest --test-dir build-tsan \
-  -L 'test_parallel|test_fleet|test_crypto_batch|test_strategy' \
+  -L 'test_parallel|test_fleet|test_crypto|test_strategy' \
   --output-on-failure
 
 echo "== all checks passed =="

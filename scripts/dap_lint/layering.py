@@ -12,10 +12,6 @@ Layer order (low to high):
     common                      foundation: bytes, rng, codec, parallel
     obs, wire                   telemetry; packet formats  (common only)
     crypto, game                primitives + instrumentation; game theory
-    crypto_batch                multi-lane SHA-256 kernels (above crypto:
-                                src/crypto/sha256_batch*, a virtual node
-                                so the scalar primitives can never grow a
-                                dependency on the batch backend)
     sim                         clocks, channels, event queue
     tesla                       TESLA baselines (uses crypto, sim, wire)
     dap                         the paper's protocol (extends tesla)
@@ -36,32 +32,25 @@ ALLOWED: Dict[str, Tuple[str, ...]] = {
     "obs": ("common",),
     "wire": ("common",),
     "crypto": ("common", "obs"),
-    "crypto_batch": ("common", "obs", "crypto"),
     "game": ("common", "obs"),
     "sim": ("common", "obs", "wire"),
-    "tesla": ("common", "obs", "wire", "crypto", "crypto_batch", "sim"),
-    "dap": ("common", "obs", "wire", "crypto", "crypto_batch", "sim",
-            "tesla"),
+    "tesla": ("common", "obs", "wire", "crypto", "sim"),
+    "dap": ("common", "obs", "wire", "crypto", "sim", "tesla"),
     "core": ("common", "obs", "sim", "game", "dap"),
-    "fleet": ("common", "obs", "wire", "crypto", "crypto_batch", "sim",
-              "tesla", "dap"),
-    "strategy": ("common", "obs", "wire", "crypto", "crypto_batch", "sim",
-                 "game", "tesla", "dap", "fleet"),
-    "analysis": ("common", "obs", "crypto", "crypto_batch", "sim", "game",
-                 "tesla", "dap", "fleet", "strategy"),
+    "fleet": ("common", "obs", "wire", "crypto", "sim", "tesla", "dap"),
+    "strategy": ("common", "obs", "wire", "crypto", "sim", "game", "tesla",
+                 "dap", "fleet"),
+    "analysis": ("common", "obs", "crypto", "sim", "game", "tesla", "dap",
+                 "fleet", "strategy"),
 }
 
 MODULES = frozenset(ALLOWED)
 
 
 def module_of(rel: str) -> str:
-    """Module name for a path like src/<module>/file.h, else ''. The
-    sha256_batch translation units under src/crypto/ belong to the
-    virtual crypto_batch node."""
+    """Module name for a path like src/<module>/file.h, else ''."""
     parts = rel.split("/")
     if len(parts) >= 3 and parts[0] == "src" and parts[1] in MODULES:
-        if parts[1] == "crypto" and parts[-1].startswith("sha256_batch"):
-            return "crypto_batch"
         return parts[1]
     return ""
 
@@ -69,8 +58,6 @@ def module_of(rel: str) -> str:
 def include_target_module(path: str) -> str:
     """Module a project include points into ('' when not a module
     header — system headers and test helpers are out of scope)."""
-    if path.startswith("crypto/sha256_batch"):
-        return "crypto_batch"
     head = path.split("/", 1)[0]
     return head if head in MODULES and "/" in path else ""
 

@@ -253,39 +253,6 @@ def fleet_scenario_seeds():
     return {name: text.encode() for name, text in seeds.items()}
 
 
-def sha256_batch_seeds():
-    # Stream layout (see fuzz_sha256_batch.cc): u8 message count (mod 17),
-    # then per message u8 length + bytes; u8 key length (mod 97) + key
-    # bytes; u8 chain key-size selector; per-message u8 step counts.
-    # Seeds pin the interesting block-boundary lengths (55/56/64 with the
-    # 9-byte pad edge) and partial-tail batch sizes around the 4/8-lane
-    # widths.
-    def msg(length, fill):
-        return u8(length) + bytes([fill]) * length
-
-    boundary = (u8(6) + msg(0, 0) + msg(55, 1) + msg(56, 2) + msg(64, 3) +
-                msg(119, 4) + msg(120, 5) +
-                u8(64) + b"\x11" * 64 +      # key exactly one pad block
-                u8(9) + u8(3) * 6)           # key_size 10, short walks
-    lanes = (u8(9) + b"".join(msg(16 + i, 0x40 + i) for i in range(9)) +
-             u8(0) +                          # empty key
-             u8(31) + u8(1) * 9)              # key_size 32
-    long_key = (u8(2) + msg(200, 0xAA) + msg(1, 0xBB) +
-                u8(96) + b"\x77" * 96 +       # key > 64B (hash-then-pad)
-                u8(0) + u8(8) + u8(8))
-    walk_heavy = (u8(4) + msg(10, 1) + msg(10, 2) + msg(10, 3) + msg(10, 4) +
-                  u8(16) + b"\x55" * 16 +
-                  u8(9) + u8(8) + u8(0) + u8(5) + u8(1))
-    return {
-        "block_boundaries": boundary,
-        "nine_lanes": lanes,
-        "long_key": long_key,
-        "walk_heavy": walk_heavy,
-        "single_empty": u8(1) + u8(0) + u8(0) + u8(0) + u8(0),
-        "empty": b"",
-    }
-
-
 def write_corpus(subdir, seeds):
     directory = CORPUS / subdir
     directory.mkdir(parents=True, exist_ok=True)
@@ -299,7 +266,6 @@ def main():
     write_corpus("fuzz_dap_receiver", dap_seeds())
     write_corpus("fuzz_teslapp_receiver", teslapp_seeds())
     write_corpus("fuzz_fleet_scenario", fleet_scenario_seeds())
-    write_corpus("fuzz_sha256_batch", sha256_batch_seeds())
 
 
 if __name__ == "__main__":

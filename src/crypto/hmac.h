@@ -35,15 +35,6 @@ class HmacKey {
   [[nodiscard]] bool verify(common::ByteView message,
                             common::ByteView tag) const noexcept;
 
-  /// Midstates after absorbing the ipad/opad block (bytes == 64). The
-  /// batched backend (crypto/sha256_batch.h) seeds its lanes from these.
-  [[nodiscard]] const Sha256Midstate& inner_midstate() const noexcept {
-    return inner_;
-  }
-  [[nodiscard]] const Sha256Midstate& outer_midstate() const noexcept {
-    return outer_;
-  }
-
  private:
   Sha256Midstate inner_{};
   Sha256Midstate outer_{};

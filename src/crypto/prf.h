@@ -35,8 +35,7 @@ std::string_view domain_label(PrfDomain domain) noexcept;
 /// The precomputed HMAC key for `domain`. Domain labels are compile-time
 /// constants, so the ipad/opad midstates are computed once per process and
 /// every PRF evaluation (chain steps, key derivation, CDM images) pays 2
-/// compressions instead of 4. The batched backend seeds its lanes from
-/// these same midstates (crypto/sha256_batch.h).
+/// compressions instead of 4.
 const HmacKey& prf_key(PrfDomain domain) noexcept;
 
 /// PRF_domain(input): 32-byte one-way image of `input` under `domain`.

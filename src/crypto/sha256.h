@@ -22,8 +22,7 @@ using Digest = std::array<std::uint8_t, kSha256DigestSize>;
 /// 64-byte blocks. A midstate is resumable: restoring it and absorbing
 /// the rest of the stream yields the same digest as hashing the whole
 /// stream from scratch. HMAC keys cache the ipad/opad midstates so each
-/// MAC costs 2 compressions instead of 4 (see crypto/hmac.h), and the
-/// batched backend (crypto/sha256_batch.h) seeds its lanes from them.
+/// MAC costs 2 compressions instead of 4 (see crypto/hmac.h).
 struct Sha256Midstate {
   std::array<std::uint32_t, 8> state{};
   std::uint64_t bytes = 0;  // absorbed so far; always a multiple of 64
@@ -33,8 +32,8 @@ struct Sha256Midstate {
 [[nodiscard]] Sha256Midstate sha256_initial_midstate() noexcept;
 
 /// One application of the SHA-256 compression function: folds a 64-byte
-/// block into `state` in place. This scalar routine is the reference
-/// oracle every batched backend is tested against bit-for-bit.
+/// block into `state` in place. HMAC keys use it to precompute their
+/// ipad/opad midstates.
 void sha256_compress(std::uint32_t state[8],
                      const std::uint8_t* block) noexcept;
 

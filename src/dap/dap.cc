@@ -323,26 +323,12 @@ DapReceiver::drain_pending_batch(sim::SimTime local_now) {
   reg.add(telemetry_.batched_reveals, pending_.size());
   BatchContext batch;
   last_drain_verdicts_.reserve(pending_.size());
-  // Weak authentication for the whole drain runs upfront through
-  // ChainAuthenticator::accept_many, which feeds the gap walks to the
-  // multi-lane SHA-256 backend. This is safe because nothing on the
-  // per-reveal path before accept() (stats, tracer, tick/resync) touches
-  // the authenticator, so batched verdicts equal sequential ones.
   std::vector<wire::MessageReveal> packets(
       std::make_move_iterator(pending_.begin()),
       std::make_move_iterator(pending_.end()));
   pending_.clear();
-  std::vector<tesla::KeyReveal> reveals;
-  reveals.reserve(packets.size());
-  for (const wire::MessageReveal& p : packets) {
-    reveals.push_back(tesla::KeyReveal{p.interval, p.key});
-  }
-  const std::vector<bool> verdicts = auth_.accept_many(reveals);
-  DAP_INVARIANT(verdicts.size() == packets.size(),
-                "drain_pending_batch: one weak-auth verdict per reveal");
-  for (std::size_t k = 0; k < packets.size(); ++k) {
-    const bool weak_ok = verdicts[k];
-    out.push_back(process_reveal(packets[k], local_now, &batch, &weak_ok));
+  for (const wire::MessageReveal& packet : packets) {
+    out.push_back(process_reveal(packet, local_now, &batch));
     last_drain_verdicts_.push_back(last_verdict_);
   }
   return out;
@@ -350,7 +336,7 @@ DapReceiver::drain_pending_batch(sim::SimTime local_now) {
 
 std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
     const wire::MessageReveal& packet, sim::SimTime local_now,
-    BatchContext* batch, const bool* precomputed_accept) {
+    BatchContext* batch) {
   auto& reg = obs::Registry::global();
   const obs::ScopedTimer timer(reg, telemetry_.rx_reveal_latency);
   ++stats_.reveals_received;
@@ -360,13 +346,8 @@ std::optional<tesla::AuthenticatedMessage> DapReceiver::process_reveal(
   tick(local_now);
   // Algorithm 2 line 16: weak authentication of the disclosed key. Never
   // cached across a batch — same-interval reveals can carry different
-  // key bytes, and each candidate must be judged on its own (batched
-  // drains judge the whole queue upfront via accept_many and hand the
-  // per-reveal verdict in here).
-  const bool weak_ok = precomputed_accept != nullptr
-                           ? *precomputed_accept
-                           : auth_.accept(packet.interval, packet.key);
-  if (!weak_ok) {
+  // key bytes, and each candidate must be judged on its own.
+  if (!auth_.accept(packet.interval, packet.key)) {
     ++stats_.weak_auth_failures;
     reg.add(telemetry_.weak_auth_failures);
     obs::Tracer::global().record(obs::TraceKind::kWeakAuthFail, local_now,

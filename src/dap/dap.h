@@ -262,12 +262,11 @@ class DapReceiver {
   };
 
   /// Shared reveal path: receive() passes no context (derive per
-  /// reveal), drain_pending_batch() passes one per drain plus the
-  /// pre-batched weak-auth verdict from ChainAuthenticator::accept_many
-  /// (null = run the scalar accept inline).
+  /// reveal), drain_pending_batch() passes one per drain. Both run
+  /// ChainAuthenticator::accept inline, one reveal at a time.
   std::optional<tesla::AuthenticatedMessage> process_reveal(
       const wire::MessageReveal& packet, sim::SimTime local_now,
-      BatchContext* batch, const bool* precomputed_accept = nullptr);
+      BatchContext* batch);
 
   /// Degradation policy: true when the offer must be shed because the
   /// record pool is saturated; adjusts effective_buffers_ both ways.

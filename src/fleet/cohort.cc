@@ -221,28 +221,18 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
     }
   }
 
-  // Weak auth for the walked subset runs upfront through accept_many
-  // (multi-lane gap walks); verdicts and authenticator state are exactly
-  // the sequential ones. Same-interval reveals still carry independent
-  // key bytes — accept_many judges each candidate on its own.
-  std::vector<tesla::KeyReveal> reveals;
-  std::vector<std::size_t> walk_index;
-  reveals.reserve(pending_.size());
-  walk_index.reserve(pending_.size());
-  for (std::size_t p = 0; p < pending_.size(); ++p) {
-    if (skip_walk[p] != 0) continue;
-    reveals.push_back(tesla::KeyReveal{pending_[p].interval, pending_[p].key});
-    walk_index.push_back(p);
-  }
-  const std::vector<bool> walk_verdicts = auth_.accept_many(reveals);
+  // Weak auth for the walked subset, one accept() per reveal in queue
+  // order. Same-interval reveals carry independent key bytes, so each
+  // candidate is judged on its own.
   std::vector<bool> weak_verdicts(pending_.size(), false);
   last_walks_.clear();
-  for (std::size_t w = 0; w < walk_index.size(); ++w) {
-    const std::size_t p = walk_index[w];
-    weak_verdicts[p] = walk_verdicts[w];
-    last_walks_.push_back(WalkResult{pending_[p].interval, pending_[p].key,
-                                     walk_verdicts[w]});
-    if (hint_of[p] != nullptr && walk_verdicts[w]) {
+  for (std::size_t p = 0; p < pending_.size(); ++p) {
+    if (skip_walk[p] != 0) continue;
+    const bool ok = auth_.accept(pending_[p].interval, pending_[p].key);
+    weak_verdicts[p] = ok;
+    last_walks_.push_back(
+        WalkResult{pending_[p].interval, pending_[p].key, ok});
+    if (hint_of[p] != nullptr && ok) {
       // The hint claimed invalid; the audit walk says valid: poisoned.
       ++stats_.poisoned_hints;
       poisoned_sources_.push_back(hint_of[p]->source);

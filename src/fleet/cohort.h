@@ -3,8 +3,8 @@
 // topology leaf, cheap enough that 10^5..10^6 of them fit in one run.
 //
 // Member 0 is a *sentinel*: a full protocol::DapReceiver that executes
-// every byte of Algorithm 2 (μMAC re-MAC, reservoir buffers, batched
-// reveal verification via drain_pending_batch). The remaining N-1
+// every byte of Algorithm 2 (μMAC re-MAC, reservoir buffers, per-reveal
+// chain accepts via drain_pending_batch). The remaining N-1
 // members are modelled at reservoir *identity* level: each member keeps
 // m slots holding the arrival index of the announce it stored, and the
 // reservoir decisions (keep the k-th copy with probability m/k, evict a

@@ -6,8 +6,8 @@
 // rides that order as a fleet::DrainParticipant: verdicts harvested
 // from already-drained cohorts are installed as hints into each later
 // cohort, so followers skip the redundant weak-auth chain walks the
-// leaders already performed (ReceiverCohort::install_hints; the
-// skipped walks would have run the same accept_many batch).
+// leaders already performed (ReceiverCohort::install_hints; each
+// skipped walk is one ChainAuthenticator::accept the follower saves).
 //
 // The trust boundary: only *invalid* verdicts are ever acted on, and a
 // deterministic audit fraction of skips is re-walked locally. A

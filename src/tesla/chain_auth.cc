@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/contracts.h"
-#include "crypto/sha256_batch.h"
 
 namespace dap::tesla {
 
@@ -84,99 +83,6 @@ bool ChainAuthenticator::accept(std::uint32_t i, common::ByteView key) {
   DAP_ENSURE(known_.count(anchor_index_) == 1,
              "ChainAuthenticator: accepted key missing from the cache");
   return true;
-}
-
-std::vector<bool> ChainAuthenticator::accept_many(
-    std::span<const KeyReveal> reveals) {
-  std::vector<bool> verdicts;
-  verdicts.reserve(reveals.size());
-
-  // Phase 1: walk every unique above-anchor candidate of the chain's key
-  // size down to the *pre-batch* anchor through the multi-lane backend,
-  // capturing the full trajectory (value after every step). Candidates
-  // of any other size (malformed/adversarial) fall back to the scalar
-  // accept() during replay, so outcomes stay exact.
-  const std::uint32_t anchor0 = anchor_index_;
-  std::map<std::pair<std::uint32_t, common::Bytes>, std::size_t> unique_of;
-  std::vector<common::Bytes> starts;
-  std::vector<std::uint32_t> gaps;
-  for (const KeyReveal& r : reveals) {
-    if (r.key.empty() || r.interval <= anchor0) continue;
-    if (r.key.size() != key_size_) continue;
-    common::Bytes key(r.key.begin(), r.key.end());
-    const auto [it, inserted] =
-        unique_of.try_emplace({r.interval, std::move(key)}, starts.size());
-    if (inserted) {
-      starts.push_back(it->first.second);
-      gaps.push_back(r.interval - anchor0);
-    }
-  }
-  std::vector<std::vector<common::Bytes>> traj;
-  if (!starts.empty()) {
-    crypto::prf_walk_many(domain_, starts, gaps, key_size_, traj);
-    for (const std::uint32_t gap : gaps) walk_steps_ += gap;
-  }
-
-  // Phase 2: replay the queue in order. This is accept()'s exact logic,
-  // with every chain step replaced by a trajectory lookup: the value j
-  // steps below candidate K_i is traj[u][j - 1], so the compare against
-  // the *current* anchor (which earlier accepts in this very batch may
-  // have advanced) is traj[u][i - anchor - 1].
-  for (const KeyReveal& r : reveals) {
-    const std::uint32_t i = r.interval;
-    if (r.key.empty()) {
-      verdicts.push_back(false);
-      continue;
-    }
-    if (i == anchor_index_) {
-      const bool ok = common::constant_time_equal(anchor_key_, r.key);
-      if (!ok) ++rejected_;
-      verdicts.push_back(ok);
-      continue;
-    }
-    if (i < anchor_index_) {
-      if (i < floor_index_) {
-        verdicts.push_back(false);
-        continue;
-      }
-      const bool ok = common::constant_time_equal(derive(i), r.key);
-      if (!ok) ++rejected_;
-      verdicts.push_back(ok);
-      continue;
-    }
-    const auto it =
-        unique_of.find({i, common::Bytes(r.key.begin(), r.key.end())});
-    if (it == unique_of.end()) {
-      // Key size mismatch: the scalar path handles it bit-for-bit.
-      verdicts.push_back(accept(i, r.key));
-      continue;
-    }
-    const std::vector<common::Bytes>& t = traj[it->second];
-    const std::uint32_t old_anchor = anchor_index_;
-    const std::uint32_t gap_now = i - old_anchor;
-    DAP_INVARIANT(gap_now >= 1 && gap_now <= t.size(),
-                  "accept_many: trajectory must reach the current anchor");
-    if (!common::constant_time_equal(t[gap_now - 1], anchor_key_)) {
-      ++rejected_;
-      verdicts.push_back(false);
-      continue;
-    }
-    for (std::uint32_t j = i; j > old_anchor; --j) {
-      if (j == i || j % stride_ == 0) {
-        known_[j] = j == i ? common::Bytes(r.key.begin(), r.key.end())
-                           : t[i - j - 1];
-      }
-    }
-    anchor_index_ = i;
-    anchor_key_ = known_[i];
-    ++accepted_;
-    DAP_ENSURE(anchor_index_ > old_anchor,
-               "ChainAuthenticator: anchor index must advance monotonically");
-    DAP_ENSURE(known_.count(anchor_index_) == 1,
-               "ChainAuthenticator: accepted key missing from the cache");
-    verdicts.push_back(true);
-  }
-  return verdicts;
 }
 
 common::Bytes ChainAuthenticator::derive(std::uint32_t i) const {

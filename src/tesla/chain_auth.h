@@ -16,20 +16,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "common/bytes.h"
 #include "crypto/keychain.h"
 
 namespace dap::tesla {
-
-/// One (interval, key) candidate for batched acceptance. The view must
-/// stay valid for the duration of the accept_many call.
-struct KeyReveal {
-  std::uint32_t interval = 0;
-  common::ByteView key{};
-};
 
 class ChainAuthenticator {
  public:
@@ -47,19 +38,6 @@ class ChainAuthenticator {
   /// Tries to accept `key` as K_i. Returns true if `key` is authentic
   /// (consistent with the anchor). Idempotent for already-known keys.
   bool accept(std::uint32_t i, common::ByteView key);
-
-  /// Batched accept: verdicts and resulting state (anchor, checkpoints,
-  /// accepted/rejected counts) are exactly what calling accept()
-  /// sequentially in reveal order would produce, but the above-anchor
-  /// gap walks run through the multi-lane batched backend
-  /// (crypto/sha256_batch.h): every unique candidate is walked down to
-  /// the pre-batch anchor once, lanes in lockstep, and the in-order
-  /// replay then only compares against the captured trajectories.
-  /// walk_steps() accounting differs from the sequential path by design:
-  /// it counts the actual lane work (one full walk per unique candidate
-  /// to the pre-batch anchor), which is deterministic across backends,
-  /// lane counts, and thread counts.
-  std::vector<bool> accept_many(std::span<const KeyReveal> reveals);
 
   /// Authentic key K_i if derivable (i within [floor, anchor], i.e. not
   /// pruned/rebased away); derived from the nearest checkpoint at or

@@ -1,6 +1,7 @@
-// Unit tests for src/crypto: SHA-256 against FIPS 180-4 vectors,
-// HMAC-SHA-256 against RFC 4231, PRF domain separation, one-way key
-// chains, MAC truncation, and WOTS one-time signatures.
+// Unit tests for src/crypto: SHA-256 against FIPS 180-4 vectors and its
+// midstate capture/restore, HMAC-SHA-256 and the precomputed-midstate
+// HmacKey against RFC 4231, PRF domain separation, one-way key chains,
+// MAC truncation, and WOTS one-time signatures.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "crypto/prf.h"
 #include "crypto/sha256.h"
 #include "crypto/wots.h"
+#include "obs/registry.h"
 
 namespace dap::crypto {
 namespace {
@@ -90,6 +92,34 @@ TEST(Sha256, BytesHelperMatchesDigest) {
   EXPECT_EQ(sha256_bytes(bytes_of("abc")), Bytes(d.begin(), d.end()));
 }
 
+// ------------------------------------------------------ midstate plumbing
+
+TEST(Sha256Midstate, CaptureRestoreRoundTrip) {
+  const Bytes prefix(64, 'p');
+  const Bytes suffix = bytes_of("suffix data");
+
+  Sha256 a;
+  a.update(prefix);
+  const Sha256Midstate ms = a.midstate();
+  EXPECT_EQ(ms.bytes, 64u);
+
+  Sha256 b;
+  b.restore(ms);
+  b.update(suffix);
+
+  Sha256 whole;
+  whole.update(prefix);
+  whole.update(suffix);
+  EXPECT_EQ(b.finalize(), whole.finalize());
+}
+
+TEST(Sha256Midstate, InitialMidstateIsEmptyHashState) {
+  Sha256 h;
+  h.restore(sha256_initial_midstate());
+  EXPECT_EQ(hex_digest(h.finalize()),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+}
+
 // ------------------------------------------------------------------ HMAC
 
 TEST(Hmac, Rfc4231Case1) {
@@ -146,6 +176,64 @@ TEST(Hmac, KeySensitivity) {
             hmac_sha256(bytes_of("key2"), msg));
 }
 
+// ------------------------------------------------------- HmacKey midstate
+
+TEST(HmacKey, MatchesHmacSha256) {
+  common::Rng rng(0xAB);
+  for (const std::size_t key_len : {0u, 1u, 10u, 32u, 64u, 65u, 131u}) {
+    const Bytes key = rng.bytes(key_len);
+    const HmacKey cached{ByteView(key)};
+    for (const std::size_t msg_len : {0u, 1u, 55u, 56u, 64u, 100u, 1000u}) {
+      const Bytes msg = rng.bytes(msg_len);
+      EXPECT_EQ(cached.mac(msg), hmac_sha256(key, msg))
+          << "key " << key_len << " msg " << msg_len;
+    }
+  }
+}
+
+TEST(HmacKey, Rfc4231Vectors) {
+  // Case 1: 20-byte 0x0b key.
+  const HmacKey k1{ByteView(Bytes(20, 0x0b))};
+  EXPECT_EQ(hex_digest(k1.mac(bytes_of("Hi There"))),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  // Case 2: short ASCII key.
+  const Bytes jefe = bytes_of("Jefe");
+  const HmacKey k2{ByteView(jefe)};
+  EXPECT_EQ(
+      hex_digest(k2.mac(bytes_of("what do ya want for nothing?"))),
+      "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  // Case 6: 131-byte key exercises the hash-then-pad path.
+  const HmacKey k6{ByteView(Bytes(131, 0xaa))};
+  EXPECT_EQ(hex_digest(k6.mac(bytes_of(
+                "Test Using Larger Than Block-Size Key - Hash Key First"))),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacKey, VerifiesAndCountsMidstateHits) {
+  obs::Registry& reg = obs::Registry::global();
+  const auto hits = reg.counter("crypto.hmac_midstate_hits");
+  const std::uint64_t before = reg.value(hits);
+
+  const Bytes key = bytes_of("k");
+  const Bytes msg = bytes_of("m");
+  const HmacKey cached{ByteView(key)};
+  const Digest tag = cached.mac(msg);
+  EXPECT_TRUE(cached.verify(msg, ByteView(tag.data(), tag.size())));
+  EXPECT_FALSE(cached.verify(bytes_of("not m"),
+                             ByteView(tag.data(), tag.size())));
+  EXPECT_GT(reg.value(hits), before);
+}
+
+TEST(HmacKey, MacHelpersMatchByteViewOverloads) {
+  const Bytes key = bytes_of("interval-key");
+  const Bytes msg = bytes_of("announce");
+  const HmacKey cached{ByteView(key)};
+  EXPECT_EQ(compute_mac(cached, msg), compute_mac(key, msg));
+  EXPECT_EQ(micro_mac(cached, msg), micro_mac(key, msg));
+  EXPECT_TRUE(verify_mac(cached, msg, compute_mac(key, msg)));
+  EXPECT_FALSE(verify_mac(cached, msg, compute_mac(key, bytes_of("x"))));
+}
+
 // ------------------------------------------------------------------- PRF
 
 TEST(Prf, DomainsAreIndependent) {
@@ -191,6 +279,16 @@ TEST(Prf, DomainLabelsUnique) {
     labels.insert(domain_label(domain));
   }
   EXPECT_EQ(labels.size(), 7u);
+}
+
+TEST(PrfKey, CachedDomainKeysMatchPrf) {
+  common::Rng rng(0xD0);
+  const Bytes input = rng.bytes(10);
+  for (std::uint8_t d = 0; d < 7; ++d) {
+    const auto domain = static_cast<PrfDomain>(d);
+    EXPECT_EQ(prf_key(domain).mac(input), prf(domain, input))
+        << domain_label(domain);
+  }
 }
 
 // -------------------------------------------------------------- KeyChain

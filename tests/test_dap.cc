@@ -517,6 +517,63 @@ TEST(DapBatchReveal, OutcomesAreNotCachedAcrossDuplicates) {
   EXPECT_EQ(receiver.stats().mac_key_derivations, 1u);
 }
 
+TEST(DapBatchReveal, DrainWalksEachRevealFromTheCurrentAnchor) {
+  // Authentic reveals for intervals 1..k in one drain, starting from the
+  // commitment K_0: each accept() walks one step down to the anchor the
+  // previous reveal just advanced, so the drain costs k chain steps, not
+  // the k(k+1)/2 of walking every candidate to the pre-drain anchor.
+  constexpr std::uint32_t kReveals = 6;
+  const auto config = test_config();
+  DapSender sender(config, bytes_of("seed"));
+  auto receiver = make_receiver(config, sender);
+  for (std::uint32_t i = 1; i <= kReveals; ++i) {
+    (void)sender.announce(i, bytes_of("reading"));
+    receiver.enqueue(sender.reveal(i));
+  }
+  auto& reg = obs::Registry::global();
+  const auto walk_steps = reg.counter("crypto.chain_walk_steps");
+  const std::uint64_t before = reg.value(walk_steps);
+  receiver.drain_pending_batch(mid(kReveals + 1));
+  EXPECT_EQ(reg.value(walk_steps) - before, kReveals);
+  for (const tesla::RevealVerdict verdict : receiver.last_drain_verdicts()) {
+    // Weak auth passed; no announce was buffered to match.
+    EXPECT_EQ(verdict, tesla::RevealVerdict::kNoRecord);
+  }
+
+  // A forged key queued twice in one drain gets exactly the verdicts of
+  // per-reveal receive(), and the authentic reveal behind it still
+  // authenticates.
+  DapSender sender2(config, bytes_of("seed2"));
+  auto serial = make_receiver(config, sender2, /*seed=*/5);
+  auto batched = make_receiver(config, sender2, /*seed=*/5);
+  const auto announce = sender2.announce(1, bytes_of("m"));
+  serial.receive(announce, mid(1));
+  batched.receive(announce, mid(1));
+  const wire::MessageReveal authentic = sender2.reveal(1);
+  wire::MessageReveal forged = authentic;
+  forged.key[0] ^= 0x01;
+  std::vector<tesla::RevealVerdict> serial_verdicts;
+  std::vector<bool> serial_ok;
+  for (const wire::MessageReveal& r : {forged, forged, authentic}) {
+    serial_ok.push_back(serial.receive(r, mid(2)).has_value());
+    serial_verdicts.push_back(serial.last_verdict());
+    batched.enqueue(r);
+  }
+  const auto out = batched.drain_pending_batch(mid(2));
+  ASSERT_EQ(out.size(), serial_ok.size());
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    EXPECT_EQ(out[k].has_value(), serial_ok[k]) << k;
+  }
+  EXPECT_EQ(batched.last_drain_verdicts(), serial_verdicts);
+  EXPECT_EQ(serial_verdicts,
+            (std::vector<tesla::RevealVerdict>{
+                tesla::RevealVerdict::kWeakAuthFail,
+                tesla::RevealVerdict::kWeakAuthFail,
+                tesla::RevealVerdict::kAccepted}));
+  EXPECT_EQ(batched.stats().weak_auth_failures,
+            serial.stats().weak_auth_failures);
+}
+
 TEST(DapBatchReveal, CrashRestartDropsPendingBacklog) {
   const auto config = test_config(8);
   DapSender sender(config, bytes_of("seed"));

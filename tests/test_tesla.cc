@@ -70,6 +70,35 @@ TEST(ChainAuthenticator, RejectsForgedKey) {
   EXPECT_EQ(auth.anchor_index(), 0u);
 }
 
+// A queue of reveals judged one accept() at a time, in order, as every
+// receiver drain does.
+TEST(ChainAuthenticatorBatch, AllForgedBatchRejectsEverything) {
+  Rng rng(0xF0);
+  const crypto::KeyChain chain(rng.bytes(16), 32);
+  ChainAuthenticator auth(chain.step_domain(), chain.key_size(),
+                          chain.commitment());
+  for (std::uint32_t i = 1; i <= 10; ++i) {
+    EXPECT_FALSE(auth.accept(i, rng.bytes(chain.key_size()))) << i;
+  }
+  EXPECT_EQ(auth.rejected(), 10u);
+  EXPECT_EQ(auth.accepted(), 0u);
+  EXPECT_EQ(auth.anchor_index(), 0u);
+}
+
+TEST(ChainAuthenticatorBatch, OddKeySizeRevealDoesNotBlockAuthenticKey) {
+  Rng rng(0xF1);
+  const crypto::KeyChain chain(rng.bytes(16), 16);
+  ChainAuthenticator auth(chain.step_domain(), chain.key_size(),
+                          chain.commitment());
+  // A candidate whose size differs from the chain key size is walked and
+  // rejected like any forgery; the authentic K_4 queued behind it still
+  // authenticates.
+  EXPECT_FALSE(auth.accept(4, rng.bytes(chain.key_size() + 3)));
+  EXPECT_TRUE(auth.accept(4, chain.key(4)));
+  EXPECT_EQ(auth.rejected(), 1u);
+  EXPECT_EQ(auth.anchor_index(), 4u);
+}
+
 TEST(ChainAuthenticator, OldKeyConsistencyCheck) {
   const crypto::KeyChain chain(bytes_of("seed"), 8);
   ChainAuthenticator auth(crypto::PrfDomain::kChainStep, chain.key_size(),
