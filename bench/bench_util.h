@@ -13,11 +13,11 @@
 // Every footer() additionally materialises the run registry: a
 // bench_out/runs/<run_id>/ directory holding manifest.json (schema
 // dap.run_manifest.v1: bench, scenario, command line, threads, cores,
-// git rev, wall time), the metrics footer, the CSV series, any
-// registered snapshot streams (snapshots.jsonl) and — when tracing is
-// enabled — the trace as JSONL and Chrome trace_event JSON. The run id
-// comes from $DAP_RUN_ID when set (CI pins it to locate artifacts),
-// else <name>-<utc-stamp>-<pid>.
+// SHA-256 kernel, git rev, wall time), the metrics footer, the CSV
+// series, any registered snapshot streams (snapshots.jsonl) and — when
+// tracing is enabled — the trace as JSONL and Chrome trace_event JSON.
+// The run id comes from $DAP_RUN_ID when set (CI pins it to locate
+// artifacts), else <name>-<utc-stamp>-<pid>.
 
 #include <chrono>
 #include <cstdio>
@@ -34,6 +34,7 @@
 #include "common/csv.h"
 #include "common/parallel.h"
 #include "common/table.h"
+#include "crypto/sha256.h"
 #include "obs/export.h"
 #include "obs/registry.h"
 #include "obs/scoped_timer.h"
@@ -300,6 +301,8 @@ inline void write_manifest(const std::string& dir, const std::string& id,
   out += "]";
   out += ",\n  \"threads\": " + std::to_string(common::default_threads());
   out += ",\n  \"cpu_cores\": " + std::to_string(common::hardware_threads());
+  out += ",\n  \"sha256_kernel\": " +
+         obs::detail::json_string(crypto::sha256_kernel_name());
   out += ",\n  \"peak_rss_kb\": " + std::to_string(peak_rss_kb());
   out += ",\n  \"wall_seconds\": " + obs::detail::json_number(wall_seconds);
   out += ",\n  \"git_rev\": " + obs::detail::json_string(git_rev());

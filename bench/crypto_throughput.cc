@@ -128,7 +128,8 @@ int main(int argc, char** argv) {
           (smoke ? " (smoke)" : ""),
       "the HMAC substrate under every DAP cost model (Section IV's "
       "verification arms race)",
-      ">= 1.3x from HMAC midstate caching; identical digests on both paths");
+      "about 1.6x (portable SHA-256 kernel) or 1.3x (SHA-NI) from HMAC "
+      "midstate caching; identical digests on both paths");
   std::cout << "[parallel engine: " << threads << " thread(s)]\n";
   // Distinct scenario ids per mode: the smoke and full workloads have
   // structurally different speedup trajectories, and bench_trend.py

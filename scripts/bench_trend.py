@@ -39,7 +39,10 @@ Seven gates, in order of severity:
      trajectory's value. Speedups are ratios of two in-process
      measurements on the same host, so unlike absolute hashes/sec they
      are stable across CI hosts; a >25% drop means the HMAC midstate
-     caching regressed.
+     caching regressed. The ratio still depends on which SHA-256
+     compress kernel ran (a faster kernel weighs the fixed per-MAC cost
+     more), so the failure message names the run manifest's
+     "sha256_kernel" to tie a reading to its host.
   7. ESS convergence: any gauge whose name contains "ess_gap" (the
      adaptive attacker's |empirical - oracle| attack-share gap from
      bench/game_loop and the strategy chaos cases) must stay at or
@@ -194,8 +197,9 @@ def gate_guard_ceilings(label, base_counters, run_counters, rel):
     return failures
 
 
-def gate_throughput(label, base_gauges, run_gauges, rel):
-    """Gate 6: crypto speedup ratios may not sag below baseline."""
+def gate_throughput(label, base_gauges, run_gauges, rel, kernel):
+    """Gate 6: crypto speedup ratios may not sag below baseline. `kernel`
+    is the run manifest's sha256_kernel, quoted in every failure."""
     failures = []
     for name, base in sorted(base_gauges.items()):
         if not (name.startswith(SPEEDUP_PREFIX)
@@ -207,12 +211,14 @@ def gate_throughput(label, base_gauges, run_gauges, rel):
         if run_value is None:
             failures.append(
                 f"{label}: THROUGHPUT: {name} missing from run "
-                f"(baseline {base:.2f}x) — speedup gauge gone")
+                f"(baseline {base:.2f}x, sha256_kernel {kernel}) — "
+                f"speedup gauge gone")
             continue
         if run_value < base * (1.0 - rel):
             failures.append(
                 f"{label}: THROUGHPUT: {name} dropped {base:.2f}x -> "
-                f"{run_value:.2f}x (band -{rel * 100:.0f}%)")
+                f"{run_value:.2f}x (band -{rel * 100:.0f}%, "
+                f"sha256_kernel {kernel})")
     return failures
 
 
@@ -295,7 +301,8 @@ def check_run(baseline, run_dir, args):
                          args.sim_p99_rel, args.wall_p99_rel)
     failures += gate_throughput(label, trajectory.get("gauges", {}),
                                 metrics.get("gauges", {}),
-                                args.throughput_tol)
+                                args.throughput_tol,
+                                manifest.get("sha256_kernel", "unknown"))
     return failures
 
 
@@ -325,17 +332,21 @@ SELF_TEST_GAUGES = {
 }
 
 
-def _write_run(root, name, scenario, counters, hists, gauges=None):
+def _write_run(root, name, scenario, counters, hists, gauges=None,
+               kernel="sha-ni"):
     run_dir = pathlib.Path(root) / name
     run_dir.mkdir(parents=True)
-    (run_dir / "manifest.json").write_text(json.dumps({
+    manifest = {
         "schema": "dap.run_manifest.v1",
         "run_id": name,
         "bench": "fleet_scale",
         "scenario": scenario,
         "args": ["bench/fleet_scale", "--smoke"],
         "threads": 1,
-    }))
+    }
+    if kernel is not None:
+        manifest["sha256_kernel"] = kernel
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
     (run_dir / "metrics.json").write_text(json.dumps({
         "schema": "dap.metrics.v2",
         "counters": counters,
@@ -435,6 +446,20 @@ def self_test():
                _write_run(tmp, "r_slow", "fleet_scale:smoke",
                           SELF_TEST_COUNTERS, SELF_TEST_HISTS, slow_crypto),
                baseline_path, want_pass=False, want_marker="THROUGHPUT")
+
+        expect("crypto speedup regression names the portable kernel",
+               _write_run(tmp, "r_slow_portable", "fleet_scale:smoke",
+                          SELF_TEST_COUNTERS, SELF_TEST_HISTS, slow_crypto,
+                          kernel="portable"),
+               baseline_path, want_pass=False,
+               want_marker="sha256_kernel portable")
+
+        expect("crypto speedup regression from a manifest without a kernel",
+               _write_run(tmp, "r_slow_nokernel", "fleet_scale:smoke",
+                          SELF_TEST_COUNTERS, SELF_TEST_HISTS, slow_crypto,
+                          kernel=None),
+               baseline_path, want_pass=False,
+               want_marker="sha256_kernel unknown")
 
         fast_crypto = dict(SELF_TEST_GAUGES,
                            **{"bench.crypto.hmac_midstate_speedup": 1.35,

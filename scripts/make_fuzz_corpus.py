@@ -8,7 +8,10 @@ plus a few malformed shapes (truncated, unknown tag, oversized length
 prefix) that exercise the rejection paths. The receiver-harness seeds
 are op-streams for the ByteStream interpreters in fuzz_dap_receiver.cc /
 fuzz_teslapp_receiver.cc: announce/forge/reveal interleavings with time
-skips, reordered/duplicated deliveries, and pool-saturation floods.
+skips, reordered/duplicated deliveries, and pool-saturation floods. The
+SHA-256 seeds for fuzz_sha256.cc pick update() split points around the
+55/56/63/64-byte padding boundaries, byte-by-byte feeds, empty updates
+and multi-block messages.
 
 Deterministic: running it twice produces identical files.
 """
@@ -253,6 +256,30 @@ def fleet_scenario_seeds():
     return {name: text.encode() for name, text in seeds.items()}
 
 
+def sha256_seeds():
+    # Layout: u8 chunk-length count (mod 32), that many chunk lengths
+    # (cycled; 0 = empty update), then the message.
+    def seed(chunks, message):
+        return u8(len(chunks)) + bytes(chunks) + message
+
+    def pattern(n):
+        return bytes((7 * i + 3) % 256 for i in range(n))
+
+    return {
+        "empty": b"",
+        "one_shot_abc": seed([], b"abc"),
+        "len55_whole": seed([], pattern(55)),
+        "len56_whole": seed([], pattern(56)),
+        "len64_whole": seed([], pattern(64)),
+        "padding_boundaries": seed([55, 1, 7, 1, 56, 63, 64], pattern(300)),
+        "split_63_1": seed([63, 1], pattern(128)),
+        "bytewise": seed([1], pattern(130)),
+        "empty_updates": seed([0, 0, 9, 0], pattern(100)),
+        "multi_block": seed([200, 17], pattern(1000)),
+        "all_zero_chunks": seed([0, 0, 0], pattern(70)),
+    }
+
+
 def write_corpus(subdir, seeds):
     directory = CORPUS / subdir
     directory.mkdir(parents=True, exist_ok=True)
@@ -266,6 +293,7 @@ def main():
     write_corpus("fuzz_dap_receiver", dap_seeds())
     write_corpus("fuzz_teslapp_receiver", teslapp_seeds())
     write_corpus("fuzz_fleet_scenario", fleet_scenario_seeds())
+    write_corpus("fuzz_sha256", sha256_seeds())
 
 
 if __name__ == "__main__":

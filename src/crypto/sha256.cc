@@ -5,6 +5,14 @@
 
 #include "common/contracts.h"
 
+#if defined(__x86_64__) && defined(__GNUC__)  // GCC and clang
+#define DAP_SHA256_HAVE_SHA_NI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#else
+#define DAP_SHA256_HAVE_SHA_NI 0
+#endif
+
 namespace dap::crypto {
 
 namespace {
@@ -66,8 +74,8 @@ void Sha256::restore(const Sha256Midstate& ms) noexcept {
   total_bytes_ = ms.bytes;
 }
 
-void sha256_compress(std::uint32_t state[8],
-                     const std::uint8_t* block) noexcept {
+void sha256_compress_portable(std::uint32_t state[8],
+                              const std::uint8_t* block) noexcept {
   std::array<std::uint32_t, 64> w;
   for (int i = 0; i < 16; ++i) {
     w[static_cast<std::size_t>(i)] = load_be32(block + 4 * i);
@@ -112,6 +120,128 @@ void sha256_compress(std::uint32_t state[8],
   state[7] += h;
 }
 
+namespace {
+
+#if DAP_SHA256_HAVE_SHA_NI
+
+// The SHA-NI kernel. The instructions keep the working variables as two
+// vectors, ABEF and CDGH (a in the top lane); each sha256rnds2 runs two
+// rounds, and sha256msg1/msg2 extend the message schedule four words at
+// a time. Compiled for the extension with a function-level target, so
+// the rest of the build needs no -m flag; only called when CPUID says
+// the host has it.
+#define DAP_SHA_NI_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+// Four big-endian message words.
+DAP_SHA_NI_TARGET inline __m128i sha_ni_load(const std::uint8_t* p,
+                                             __m128i byte_swap) noexcept {
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), byte_swap);
+}
+
+// Rounds i..i+3 on message words w = W[i..i+3].
+DAP_SHA_NI_TARGET inline void sha_ni_rounds4(__m128i& abef, __m128i& cdgh,
+                                             __m128i w,
+                                             std::size_t i) noexcept {
+  const __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(
+             reinterpret_cast<const __m128i*>(kRoundConstants.data() + i)));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+// W[t..t+3] from the previous sixteen words, oldest group first.
+DAP_SHA_NI_TARGET inline __m128i sha_ni_schedule(__m128i w0, __m128i w1,
+                                                 __m128i w2,
+                                                 __m128i w3) noexcept {
+  const __m128i x = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1),
+                                  _mm_alignr_epi8(w3, w2, 4));
+  return _mm_sha256msg2_epu32(x, w3);
+}
+
+DAP_SHA_NI_TARGET void sha256_compress_sha_ni(
+    std::uint32_t state[8], const std::uint8_t* block) noexcept {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // {a,b,c,d}, {e,f,g,h} -> ABEF, CDGH.
+  const __m128i badc = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(badc, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, badc, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i w0 = sha_ni_load(block, byte_swap);
+  __m128i w1 = sha_ni_load(block + 16, byte_swap);
+  __m128i w2 = sha_ni_load(block + 32, byte_swap);
+  __m128i w3 = sha_ni_load(block + 48, byte_swap);
+  for (std::size_t i = 0; i < 48; i += 16) {
+    sha_ni_rounds4(abef, cdgh, w0, i);
+    w0 = sha_ni_schedule(w0, w1, w2, w3);
+    sha_ni_rounds4(abef, cdgh, w1, i + 4);
+    w1 = sha_ni_schedule(w1, w2, w3, w0);
+    sha_ni_rounds4(abef, cdgh, w2, i + 8);
+    w2 = sha_ni_schedule(w2, w3, w0, w1);
+    sha_ni_rounds4(abef, cdgh, w3, i + 12);
+    w3 = sha_ni_schedule(w3, w0, w1, w2);
+  }
+  sha_ni_rounds4(abef, cdgh, w0, 48);
+  sha_ni_rounds4(abef, cdgh, w1, 52);
+  sha_ni_rounds4(abef, cdgh, w2, 56);
+  sha_ni_rounds4(abef, cdgh, w3, 60);
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+  // ABEF, CDGH -> {a,b,c,d}, {e,f,g,h}.
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+// CPUID leaf 7 EBX bit 29 is SHA; the kernel also uses SSSE3 (leaf 1
+// ECX bit 9) and SSE4.1 (bit 19).
+bool host_has_sha_ni() noexcept {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sse = (ecx & (1u << 9)) != 0 && (ecx & (1u << 19)) != 0;
+  if (!sse || __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) {
+    return false;
+  }
+  return (ebx & (1u << 29)) != 0;
+}
+
+#endif  // DAP_SHA256_HAVE_SHA_NI
+
+struct Kernel {
+  void (*compress)(std::uint32_t*, const std::uint8_t*) noexcept;
+  const char* name;
+};
+
+// Chosen once, on first use, from CPUID.
+const Kernel& kernel() noexcept {
+  static const Kernel chosen = [] {
+#if DAP_SHA256_HAVE_SHA_NI
+    if (host_has_sha_ni()) return Kernel{sha256_compress_sha_ni, "sha-ni"};
+#endif
+    return Kernel{sha256_compress_portable, "portable"};
+  }();
+  return chosen;
+}
+
+}  // namespace
+
+void sha256_compress(std::uint32_t state[8],
+                     const std::uint8_t* block) noexcept {
+  kernel().compress(state, block);
+}
+
+const char* sha256_kernel_name() noexcept { return kernel().name; }
+
 void Sha256::process_block(const std::uint8_t* block) noexcept {
   sha256_compress(state_.data(), block);
 }
@@ -142,19 +272,20 @@ void Sha256::update(common::ByteView data) noexcept {
 
 Digest Sha256::finalize() noexcept {
   const std::uint64_t bit_length = total_bytes_ * 8;
-  // Padding: 0x80, zeros, then 64-bit big-endian bit length.
-  const std::uint8_t pad_byte = 0x80;
-  update(common::ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) {
-    update(common::ByteView(&zero, 1));
+  // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit
+  // length. A tail longer than 55 bytes leaves no room for the length,
+  // so it spills into a second block.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  std::array<std::uint8_t, 8> len;
-  for (int i = 0; i < 8; ++i) {
-    len[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
-  }
-  update(common::ByteView(len.data(), len.size()));
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  store_be32(buffer_.data() + 56,
+             static_cast<std::uint32_t>(bit_length >> 32));
+  store_be32(buffer_.data() + 60, static_cast<std::uint32_t>(bit_length));
+  process_block(buffer_.data());
 
   Digest out;
   for (std::size_t i = 0; i < 8; ++i) {

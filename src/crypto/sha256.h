@@ -4,7 +4,9 @@
 // This is the single cryptographic hash underlying every primitive in the
 // library: HMAC, one-way key chains, the pseudorandom function H used by
 // EDRP, and the WOTS one-time signature. The streaming interface supports
-// incremental input; `sha256()` is the one-shot convenience.
+// incremental input; `sha256()` is the one-shot convenience. There is one
+// compression path, sha256_compress, backed by a SHA-NI kernel where the
+// CPU has one and by the portable scalar kernel otherwise.
 
 #include <array>
 #include <cstdint>
@@ -33,9 +35,21 @@ struct Sha256Midstate {
 
 /// One application of the SHA-256 compression function: folds a 64-byte
 /// block into `state` in place. HMAC keys use it to precompute their
-/// ipad/opad midstates.
+/// ipad/opad midstates, and Sha256 runs every block through it. The
+/// kernel is chosen once from CPUID: the SHA-NI instructions where the
+/// host has them, else sha256_compress_portable.
 void sha256_compress(std::uint32_t state[8],
                      const std::uint8_t* block) noexcept;
+
+/// The scalar FIPS 180-4 compression function: the fallback kernel on
+/// hosts without SHA-NI, and the oracle the dispatched kernel is tested
+/// against. Everything else calls sha256_compress.
+void sha256_compress_portable(std::uint32_t state[8],
+                              const std::uint8_t* block) noexcept;
+
+/// The kernel sha256_compress dispatches to: "sha-ni" or "portable".
+/// Benches record it in their run manifest.
+[[nodiscard]] const char* sha256_kernel_name() noexcept;
 
 class Sha256 {
  public:

@@ -1,11 +1,14 @@
-// Unit tests for src/crypto: SHA-256 against FIPS 180-4 vectors and its
-// midstate capture/restore, HMAC-SHA-256 and the precomputed-midstate
+// Unit tests for src/crypto: SHA-256 against FIPS 180-4 vectors, the
+// dispatched compress kernel against the portable oracle, and midstate
+// capture/restore, HMAC-SHA-256 and the precomputed-midstate
 // HmacKey against RFC 4231, PRF domain separation, one-way key chains,
 // MAC truncation, and WOTS one-time signatures.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "crypto/hmac.h"
@@ -90,6 +93,85 @@ TEST(Sha256, ResetRestoresInitialState) {
 TEST(Sha256, BytesHelperMatchesDigest) {
   const Digest d = sha256(bytes_of("abc"));
   EXPECT_EQ(sha256_bytes(bytes_of("abc")), Bytes(d.begin(), d.end()));
+}
+
+// ------------------------------------------- dispatched kernel vs oracle
+
+// SHA-256 over the portable kernel alone, padded one byte at a time: an
+// oracle independent of both the dispatched kernel and Sha256's
+// block-wise finalize().
+Digest reference_sha256(ByteView data) {
+  std::vector<std::uint8_t> msg(data.begin(), data.end());
+  const std::uint64_t bit_length = std::uint64_t{msg.size()} * 8;
+  msg.push_back(0x80);
+  while (msg.size() % kSha256BlockSize != 56) msg.push_back(0x00);
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    msg.push_back(static_cast<std::uint8_t>(bit_length >> shift));
+  }
+  std::array<std::uint32_t, 8> state = sha256_initial_midstate().state;
+  for (std::size_t off = 0; off < msg.size(); off += kSha256BlockSize) {
+    sha256_compress_portable(state.data(), msg.data() + off);
+  }
+  Digest out;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+TEST(Sha256, DispatchedCompressMatchesPortable) {
+  common::Rng rng(0x5A);
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::array<std::uint32_t, 8> state;
+    for (std::uint32_t& word : state) {
+      word = static_cast<std::uint32_t>(rng.next_u64());
+    }
+    const Bytes block = rng.bytes(kSha256BlockSize);
+    std::array<std::uint32_t, 8> dispatched = state;
+    std::array<std::uint32_t, 8> portable = state;
+    sha256_compress(dispatched.data(), block.data());
+    sha256_compress_portable(portable.data(), block.data());
+    ASSERT_EQ(dispatched, portable) << "trial " << trial;
+  }
+}
+
+TEST(Sha256, KernelNameMatchesCpuid) {
+  const std::string name = sha256_kernel_name();
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+  // libgcc's CPUID decode, independent of the dispatcher's own.
+  const bool sha_ni = __builtin_cpu_supports("sha") &&
+                      __builtin_cpu_supports("sse4.1") &&
+                      __builtin_cpu_supports("ssse3");
+  EXPECT_EQ(name, sha_ni ? "sha-ni" : "portable");
+#elif defined(__x86_64__)
+  EXPECT_TRUE(name == "sha-ni" || name == "portable") << name;
+#else
+  EXPECT_EQ(name, "portable");
+#endif
+}
+
+TEST(Sha256, EveryLengthAndSplitMatchesReference) {
+  common::Rng rng(0x256);
+  for (std::size_t n = 0; n <= 257; ++n) {
+    const Bytes data = rng.bytes(n);
+    const Digest want = reference_sha256(data);
+    EXPECT_EQ(sha256(data), want) << "whole, length " << n;
+
+    Sha256 bytewise;
+    for (std::size_t i = 0; i < n; ++i) {
+      bytewise.update(ByteView(data).subspan(i, 1));
+    }
+    EXPECT_EQ(bytewise.finalize(), want) << "byte by byte, length " << n;
+
+    for (std::size_t split : {55u, 56u, 63u, 64u}) {
+      if (split > n) continue;
+      Sha256 h;
+      h.update(ByteView(data).first(split));
+      h.update(ByteView(data).subspan(split));
+      EXPECT_EQ(h.finalize(), want)
+          << "split at " << split << ", length " << n;
+    }
+  }
 }
 
 // ------------------------------------------------------ midstate plumbing

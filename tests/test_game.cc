@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "game/bandwidth.h"
 #include "game/ess.h"
@@ -177,6 +178,10 @@ TEST(Ess, CandidatesMatchClosedForms) {
 struct RegimeCase {
   std::size_t m;
   EssKind kind;
+  // Each case is named by a byte dump of this struct, so the bytes after
+  // `kind` are a zeroed member rather than padding that holds whatever
+  // the stack did, which renamed the cases from one build to the next.
+  std::uint8_t zero[sizeof(std::size_t) - sizeof(EssKind)] = {};
 };
 
 class EssRegimes : public ::testing::TestWithParam<RegimeCase> {};
