@@ -82,9 +82,11 @@ cmake --build build-tsan
 # test_fleet rides along: cohort drains fan reservoir replay across the
 # same pool. test_strategy joins for the same reason: strategy-driven
 # fleet runs share the pool with cooperative-verification drains.
+# test_obs covers the tracer rings that live in per-chunk shards and are
+# merged on the calling thread.
 TSAN_OPTIONS=halt_on_error=1 DAP_THREADS=4 \
   ctest --test-dir build-tsan \
-  -L 'test_parallel|test_fleet|test_crypto|test_strategy' \
+  -L 'test_parallel|test_fleet|test_crypto|test_strategy|test_obs' \
   --output-on-failure
 
 echo "== all checks passed =="

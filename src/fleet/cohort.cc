@@ -1,6 +1,7 @@
 #include "fleet/cohort.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -20,6 +21,31 @@ double unit_double(std::uint64_t word) noexcept {
 
 common::Rng sentinel_rng(std::uint64_t cohort_seed) {
   return common::Rng(common::subseed(cohort_seed, 0));
+}
+
+/// Stores `value` in the first empty slot of a reservoir that is not full.
+void store_first_empty(std::uint32_t* slots, std::size_t m,
+                       std::uint32_t value) noexcept {
+  for (std::size_t j = 0; j < m; ++j) {
+    if (slots[j] == 0) {
+      slots[j] = value;
+      return;
+    }
+  }
+}
+
+/// Strong auth against one reservoir: consumes only the first slot whose
+/// announce matches, like RecordBuffer::take_matching.
+bool take_match(std::uint32_t* slots, std::size_t m,
+                const std::vector<std::uint8_t>& is_match) noexcept {
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::uint32_t v = slots[j];
+    if (v != 0 && is_match[v - 1] != 0) {
+      slots[j] = 0;
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -44,8 +70,7 @@ ReceiverCohort::Round& ReceiverCohort::round_for(std::uint32_t interval) {
   auto it = rounds_.find(interval);
   if (it == rounds_.end()) {
     Round round;
-    round.slots.assign(stat_members_ * config_.dap.buffers, 0);
-    round.counts.assign(stat_members_, 0);
+    round.shared.assign(config_.dap.buffers, 0);
     it = rounds_.emplace(interval, std::move(round)).first;
   }
   return it->second;
@@ -153,29 +178,52 @@ void ReceiverCohort::install_hints(std::vector<RevealHint> hints,
   audit_seed_ = audit_seed;
 }
 
+void ReceiverCohort::replay_shared(Round& round) const {
+  const std::size_t m = config_.dap.buffers;
+  const auto offers = static_cast<std::uint32_t>(round.macs.size());
+  for (; round.replayed < offers; ++round.replayed) {
+    if (round.shared_count >= m) {
+      // This offer needs a draw, and the members' draws differ.
+      round.slots =
+          std::make_unique_for_overwrite<std::uint32_t[]>(stat_members_ * m);
+      round.counts =
+          std::make_unique_for_overwrite<std::uint16_t[]>(stat_members_);
+      round.copy_out = true;
+      return;
+    }
+    store_first_empty(round.shared.data(), m, round.replayed + 1);
+    ++round.shared_count;
+  }
+}
+
 void ReceiverCohort::replay_member(Round& round, std::uint32_t interval,
                                    std::size_t mi) const {
   const std::size_t m = config_.dap.buffers;
-  std::uint32_t* slots = round.slots.data() + mi * m;
+  std::uint32_t* slots = round.slots.get() + mi * m;
   std::uint16_t& count = round.counts[mi];
+  if (round.copy_out) {
+    std::copy_n(round.shared.data(), m, slots);
+    count = round.shared_count;
+  }
   // Stateless draw chain: (cohort seed, member, interval, offer) fully
   // determines every reservoir decision, independent of when — and on
-  // which thread — the replay runs.
-  const std::uint64_t member_seed =
-      common::subseed(config_.seed, 1 + static_cast<std::uint64_t>(mi));
-  const std::uint64_t round_seed = common::subseed(member_seed, interval);
+  // which thread — the replay runs. The seeds are derived at the
+  // member's first draw; a member that only fills empty slots needs none.
+  std::uint64_t round_seed = 0;
+  bool seeded = false;
   for (std::uint32_t k = round.replayed;
        k < static_cast<std::uint32_t>(round.macs.size()); ++k) {
     const std::uint32_t offer = k + 1;  // 1-based offer index ("the k-th copy")
     if (count < m) {
-      for (std::size_t j = 0; j < m; ++j) {
-        if (slots[j] == 0) {
-          slots[j] = k + 1;
-          break;
-        }
-      }
+      store_first_empty(slots, m, offer);
       ++count;
       continue;
+    }
+    if (!seeded) {
+      const std::uint64_t member_seed =
+          common::subseed(config_.seed, 1 + static_cast<std::uint64_t>(mi));
+      round_seed = common::subseed(member_seed, interval);
+      seeded = true;
     }
     const std::uint64_t keep_word =
         common::subseed(round_seed, 2ULL * offer);
@@ -183,9 +231,18 @@ void ReceiverCohort::replay_member(Round& round, std::uint32_t interval,
         common::subseed(round_seed, 2ULL * offer + 1);
     if (unit_double(keep_word) <
         static_cast<double>(m) / static_cast<double>(offer)) {
-      slots[victim_word % m] = k + 1;
+      slots[victim_word % m] = offer;
     }
   }
+}
+
+std::uint64_t ReceiverCohort::stored_in(const Round& round) const noexcept {
+  if (!round.per_member()) {
+    return std::uint64_t{round.shared_count} * stat_members_;
+  }
+  std::uint64_t stored = 0;
+  for (std::size_t mi = 0; mi < stat_members_; ++mi) stored += round.counts[mi];
+  return stored;
 }
 
 std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
@@ -284,42 +341,69 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
     }
   }
 
-  // Parallel phase over statistical members: lazy reservoir replay for
-  // every live round, then matching each valid plan in queue order. All
-  // writes are index-addressed per member (slots, counts, flags), and
-  // every random decision comes from the stateless draw chain, so the
-  // result is bitwise identical at any thread count.
-  std::vector<std::pair<std::uint32_t, Round*>> live_rounds;
-  live_rounds.reserve(rounds_.size());
+  // Reservoir replay. Shared rounds replay once, here; a round whose
+  // shared reservoir overflows splits into per-member state.
+  std::vector<std::pair<std::uint32_t, Round*>> split_rounds;
   for (auto& [interval, round] : rounds_) {
-    live_rounds.emplace_back(interval, &round);
+    if (!round.per_member()) replay_shared(round);
+    if (round.per_member()) split_rounds.emplace_back(interval, &round);
   }
-  std::vector<std::uint8_t> flags(plans.size() * stat_members_, 0);
+
+  // A valid reveal on a shared round matches once, for every member.
   const std::size_t m = config_.dap.buffers;
-  common::parallel_for(stat_members_, [&](std::size_t mi) {
-    for (auto& [interval, round] : live_rounds) {
-      replay_member(*round, interval, mi);
+  std::vector<std::uint64_t> matched(plans.size(), 0);
+  std::vector<std::size_t> member_plans;
+  for (std::size_t p = 0; p < plans.size(); ++p) {
+    Plan& plan = plans[p];
+    if (!plan.valid || plan.round == nullptr) continue;
+    if (plan.round->per_member()) {
+      member_plans.push_back(p);
+    } else if (take_match(plan.round->shared.data(), m, plan.is_match)) {
+      --plan.round->shared_count;
+      matched[p] = stat_members_;
     }
-    for (std::size_t p = 0; p < plans.size(); ++p) {
-      const Plan& plan = plans[p];
-      if (!plan.valid || plan.round == nullptr) continue;
-      std::uint32_t* slots = plan.round->slots.data() + mi * m;
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::uint32_t v = slots[j];
-        if (v != 0 && plan.is_match[v - 1] != 0) {
-          // Strong auth: consume only the matched record, like
-          // RecordBuffer::take_matching.
-          slots[j] = 0;
-          --plan.round->counts[mi];
-          flags[p * stat_members_ + mi] = 1;
-          break;
+  }
+
+  // Parallel phase over blocks of statistical members: seed split rounds
+  // from their shared reservoir, replay them, then match each of their
+  // valid plans in queue order. All writes are index-addressed per member
+  // or per block, and every random decision comes from the stateless draw
+  // chain, so the result is bitwise identical at any thread count.
+  if (!split_rounds.empty()) {
+    const std::size_t blocks =
+        (stat_members_ + kMemberBlock - 1) / kMemberBlock;
+    std::vector<std::uint64_t> block_matched(member_plans.size() * blocks, 0);
+    common::parallel_for(blocks, [&](std::size_t b) {
+      const std::size_t begin = b * kMemberBlock;
+      const std::size_t end = std::min(begin + kMemberBlock, stat_members_);
+      for (auto& [interval, round] : split_rounds) {
+        for (std::size_t mi = begin; mi < end; ++mi) {
+          replay_member(*round, interval, mi);
         }
       }
+      for (std::size_t q = 0; q < member_plans.size(); ++q) {
+        const Plan& plan = plans[member_plans[q]];
+        Round& round = *plan.round;
+        std::uint64_t hits = 0;
+        for (std::size_t mi = begin; mi < end; ++mi) {
+          if (take_match(round.slots.get() + mi * m, m, plan.is_match)) {
+            --round.counts[mi];
+            ++hits;
+          }
+        }
+        block_matched[q * blocks + b] = hits;
+      }
+    });
+    for (auto& [interval, round] : split_rounds) {
+      (void)interval;
+      round->replayed = static_cast<std::uint32_t>(round->macs.size());
+      round->copy_out = false;
     }
-  });
-  for (auto& [interval, round] : live_rounds) {
-    (void)interval;
-    round->replayed = static_cast<std::uint32_t>(round->macs.size());
+    for (std::size_t q = 0; q < member_plans.size(); ++q) {
+      for (std::size_t b = 0; b < blocks; ++b) {
+        matched[member_plans[q]] += block_matched[q * blocks + b];
+      }
+    }
   }
 
   // Serial aggregation in queue order.
@@ -335,20 +419,16 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
     outcome.verdict = sentinel_verdicts[p];
     if (outcome.sentinel_authenticated) ++stats_.sentinel_auths;
     if (!plans[p].valid) continue;
-    std::uint64_t matched = 0;
-    for (std::size_t mi = 0; mi < stat_members_; ++mi) {
-      matched += flags[p * stat_members_ + mi];
-    }
-    outcome.members_authenticated = matched;
-    stats_.member_auths += matched;
-    stats_.member_auth_misses += stat_members_ - matched;
+    outcome.members_authenticated = matched[p];
+    stats_.member_auths += matched[p];
+    stats_.member_auth_misses += stat_members_ - matched[p];
   }
   pending_.clear();
 
   std::uint64_t stored = 0;
   for (const auto& [interval, round] : rounds_) {
     (void)interval;
-    for (const std::uint16_t c : round.counts) stored += c;
+    stored += stored_in(round);
   }
   stats_.stored_records = stored;
   stats_.stored_records_peak = std::max(stats_.stored_records_peak, stored);
@@ -367,10 +447,7 @@ void ReceiverCohort::prune_rounds(std::uint32_t current_interval) {
 
 std::uint64_t ReceiverCohort::stored_for_interval(std::uint32_t i) const {
   const auto it = rounds_.find(i);
-  if (it == rounds_.end()) return 0;
-  std::uint64_t stored = 0;
-  for (const std::uint16_t c : it->second.counts) stored += c;
-  return stored;
+  return it == rounds_.end() ? 0 : stored_in(it->second);
 }
 
 }  // namespace dap::fleet

@@ -24,13 +24,26 @@
 // consumes the slot exactly like RecordBuffer::take_matching.
 //
 // Reservoir replay is *lazy*: announces only append to the round's
-// arrival list; member slots are brought up to date at drain time with
-// one parallel_for over members (index-addressed state only), which is
-// where the 10^5-member cost is paid and sharded.
+// arrival list; reservoirs are brought up to date at drain time.
+//
+// A round stores its members' reservoirs once while they agree. The
+// k-th copy is kept with probability m/k, so while k <= m every member
+// keeps every copy in its first empty slot and makes no draw; a match
+// then consumes the same slot from every member. A new round therefore
+// holds one shared m-slot reservoir and one count, is replayed once per
+// drain, and a valid reveal on it authenticates all N-1 members or none.
+// The first offer that finds the shared reservoir full is the first
+// draw: from that offer on the round holds per-member slots and counts
+// (seeded from the shared state) and is replayed member by member with
+// the stateless draws above, in blocks of kMemberBlock members over one
+// parallel_for (index-addressed state only). A round never returns to
+// the shared form, and every outcome equals a replay that had kept
+// per-member state from the start.
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -176,6 +189,9 @@ class ReceiverCohort {
   /// accumulated reboot skew.
   [[nodiscard]] sim::SimTime local_time(sim::SimTime true_now) const noexcept;
 
+  /// Statistical members per task of drain's per-member phase.
+  static constexpr std::size_t kMemberBlock = 256;
+
   [[nodiscard]] std::size_t members() const noexcept {
     return config_.members;
   }
@@ -217,24 +233,39 @@ class ReceiverCohort {
   }
 
  private:
-  /// Per-interval shared state: the announce arrival list plus every
-  /// statistical member's reservoir over it.
+  /// Per-interval state: the announce arrival list plus the statistical
+  /// members' reservoirs over it, stored once while they agree.
   struct Round {
     /// Announce MACs in arrival order; slot values index this list + 1.
     std::vector<common::Bytes> macs;
-    /// Flattened member slots: member mi owns [mi*m, mi*m + m); value 0
-    /// is empty, value k+1 means "stored announce k".
-    std::vector<std::uint32_t> slots;
-    /// Records currently held per member.
-    std::vector<std::uint16_t> counts;
-    /// Offers already replayed into the slots (prefix of macs).
+    /// Offers already replayed into the reservoirs (prefix of macs).
     std::uint32_t replayed = 0;
+    /// The reservoir every member holds until an offer finds it full:
+    /// m slots (value 0 is empty, value k+1 means "stored announce k")
+    /// and the records they hold.
+    std::vector<std::uint32_t> shared;
+    std::uint16_t shared_count = 0;
+    /// Per-member state from the first draw on (null while shared):
+    /// member mi owns slots [mi*m, mi*m + m) and counts[mi].
+    std::unique_ptr<std::uint32_t[]> slots;
+    std::unique_ptr<std::uint16_t[]> counts;
+    /// Set by the drain that splits the round: its member blocks seed the
+    /// (uninitialised) per-member arrays from the shared reservoir.
+    bool copy_out = false;
+
+    [[nodiscard]] bool per_member() const noexcept { return slots != nullptr; }
   };
 
+  /// Replays pending offers into the shared reservoir. At the first offer
+  /// that finds it full, allocates the per-member state and stops, with
+  /// `replayed` at that offer, for replay_member to go on from.
+  void replay_shared(Round& round) const;
   /// Replays offers [round.replayed, macs.size()) for member `mi` using
   /// the stateless per-(member, interval, offer) draws.
   void replay_member(Round& round, std::uint32_t interval,
                      std::size_t mi) const;
+  /// Statistical-member records held in `round`.
+  [[nodiscard]] std::uint64_t stored_in(const Round& round) const noexcept;
 
   [[nodiscard]] Round& round_for(std::uint32_t interval);
   void prune_rounds(std::uint32_t current_interval);

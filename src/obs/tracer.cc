@@ -63,29 +63,37 @@ std::string_view span_tag_name(SpanTag tag) noexcept {
   return "unknown";
 }
 
-Tracer::Tracer(std::size_t capacity)
-    : ring_(capacity == 0 ? 1 : capacity),
-      span_ring_(capacity == 0 ? 1 : capacity) {}
+Tracer::Tracer(std::size_t capacity) {
+  set_capacity(capacity);
+}
 
 void Tracer::set_capacity(std::size_t capacity) {
   if (total_ != 0 || span_total_ != 0 || !open_spans_.empty()) {
     throw std::logic_error(
         "Tracer::set_capacity: tracer must be empty (clear() first)");
   }
-  ring_.assign(capacity == 0 ? 1 : capacity, TraceEvent{});
-  span_ring_.assign(capacity == 0 ? 1 : capacity, SpanEvent{});
+  capacity_ = capacity == 0 ? 1 : capacity;
+  // Fresh vectors, so a smaller capacity also returns the old reservation.
+  ring_ = {};
+  ring_.reserve(capacity_);
+  span_ring_ = {};
+  span_ring_.reserve(capacity_);
 }
 
 void Tracer::record(TraceKind kind, std::uint64_t t, std::uint32_t id,
                     double a, double b) noexcept {
   if (!enabled_) return;
-  ring_[total_ % ring_.size()] = TraceEvent{kind, id, t, a, b};
+  const TraceEvent event{kind, id, t, a, b};
+  if (ring_.size() < capacity_) {
+    ring_.push_back(event);  // within the reservation: no allocation
+  } else {
+    ring_[total_ % capacity_] = event;
+  }
   ++total_;
 }
 
 std::size_t Tracer::size() const noexcept {
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(total_, ring_.size()));
+  return ring_.size();
 }
 
 std::vector<TraceEvent> Tracer::snapshot() const {
@@ -94,14 +102,18 @@ std::vector<TraceEvent> Tracer::snapshot() const {
   out.reserve(n);
   const std::uint64_t first = total_ - n;
   for (std::uint64_t i = first; i < total_; ++i) {
-    out.push_back(ring_[i % ring_.size()]);
+    out.push_back(ring_[i % capacity_]);
   }
   return out;
 }
 
 void Tracer::record_span(const SpanEvent& span) noexcept {
   if (!enabled_) return;
-  span_ring_[span_total_ % span_ring_.size()] = span;
+  if (span_ring_.size() < capacity_) {
+    span_ring_.push_back(span);  // within the reservation: no allocation
+  } else {
+    span_ring_[span_total_ % capacity_] = span;
+  }
   ++span_total_;
 }
 
@@ -126,8 +138,7 @@ void Tracer::span_end(std::uint64_t uid, std::uint64_t t_end,
 }
 
 std::size_t Tracer::span_size() const noexcept {
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(span_total_, span_ring_.size()));
+  return span_ring_.size();
 }
 
 std::vector<SpanEvent> Tracer::span_snapshot() const {
@@ -136,7 +147,7 @@ std::vector<SpanEvent> Tracer::span_snapshot() const {
   out.reserve(n);
   const std::uint64_t first = span_total_ - n;
   for (std::uint64_t i = first; i < span_total_; ++i) {
-    out.push_back(span_ring_[i % span_ring_.size()]);
+    out.push_back(span_ring_[i % capacity_]);
   }
   return out;
 }
@@ -213,6 +224,8 @@ void Tracer::export_chrome_trace(std::ostream& out) const {
 }
 
 void Tracer::clear() noexcept {
+  ring_.clear();
+  span_ring_.clear();
   total_ = 0;
   span_total_ = 0;
   open_spans_.clear();

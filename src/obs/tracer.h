@@ -6,8 +6,11 @@
 // time. Recording is a no-op branch while disabled (the default) and an
 // allocation-free ring write while enabled; when the ring is full the
 // oldest events are overwritten, so a trace always holds the tail of
-// the run. Traces export as JSONL (one event per line) or as Chrome
-// `trace_event` JSON loadable in chrome://tracing / Perfetto.
+// the run. The rings reserve their capacity up front but fill it only
+// as events arrive, so an idle tracer (a parallel chunk's shard that
+// records a few events) costs memory only for what it holds. Traces
+// export as JSONL (one event per line) or as Chrome `trace_event` JSON
+// loadable in chrome://tracing / Perfetto.
 
 #include <cstddef>
 #include <cstdint>
@@ -83,9 +86,9 @@ class Tracer {
   void enable(bool on) noexcept { enabled_ = on; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  /// Resizes both rings (events and spans). Only legal while the tracer
-  /// is empty — nothing recorded since construction or the last clear()
-  /// — because a resize would scramble the ring order; throws
+  /// Sets both rings' capacity (events and spans). Only legal while the
+  /// tracer is empty — nothing recorded since construction or the last
+  /// clear() — because a resize would scramble the ring order; throws
   /// std::logic_error otherwise. Benches size the ring to the run ahead
   /// of time so smoke suites can assert zero drops.
   void set_capacity(std::size_t capacity);
@@ -95,9 +98,7 @@ class Tracer {
   void record(TraceKind kind, std::uint64_t t, std::uint32_t id = 0,
               double a = 0.0, double b = 0.0) noexcept;
 
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return ring_.size();
-  }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Events currently held (<= capacity).
   [[nodiscard]] std::size_t size() const noexcept;
   /// Events recorded since construction/clear, including overwritten ones.
@@ -122,7 +123,7 @@ class Tracer {
                 SpanTag tag = SpanTag::kNone) noexcept;
 
   [[nodiscard]] std::size_t span_capacity() const noexcept {
-    return span_ring_.size();
+    return capacity_;
   }
   /// Closed spans currently held (<= span_capacity).
   [[nodiscard]] std::size_t span_size() const noexcept;
@@ -168,8 +169,12 @@ class Tracer {
   static Tracer* set_thread_override(Tracer* tracer) noexcept;
 
  private:
+  /// Both rings' capacity. Each ring is reserved to it and grows by
+  /// push_back until full; from then on the next write goes to
+  /// ring[total % capacity_].
+  std::size_t capacity_ = 1;
   std::vector<TraceEvent> ring_;
-  std::uint64_t total_ = 0;  // next write goes to ring_[total_ % capacity]
+  std::uint64_t total_ = 0;
   std::vector<SpanEvent> span_ring_;
   std::uint64_t span_total_ = 0;
   std::vector<SpanEvent> open_spans_;  // begun, not yet ended

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -466,9 +467,9 @@ TEST(Cohort, FloodFillsReservoirsButForgesNeverAuthenticate) {
 }
 
 TEST(Cohort, DrainIsBitwiseIdenticalAcrossThreadCounts) {
-  const auto run = [](std::size_t threads) {
+  const auto run = [](std::size_t members, std::size_t threads) {
     ThreadGuard guard(threads);
-    const fleet::CohortConfig config = cohort_config(128, 9);
+    const fleet::CohortConfig config = cohort_config(members, 9);
     protocol::DapSender sender(config.dap, common::Rng(1).bytes(16));
     fleet::ReceiverCohort cohort(config, sender.chain().commitment());
     sim::FloodingForger forger(config.dap.sender_id, config.dap.mac_size,
@@ -490,9 +491,105 @@ TEST(Cohort, DrainIsBitwiseIdenticalAcrossThreadCounts) {
     trace.push_back(cohort.stats().stored_records_peak);
     return trace;
   };
-  const auto serial = run(1);
-  EXPECT_EQ(run(4), serial);
-  EXPECT_EQ(run(7), serial);
+  const auto serial = run(128, 1);
+  EXPECT_EQ(run(128, 4), serial);
+  EXPECT_EQ(run(128, 7), serial);
+  // Two whole member blocks plus a partial one (the sentinel is not a
+  // statistical member, so 2 x block + 3 members leave 2 in the last).
+  const std::size_t members = 2 * fleet::ReceiverCohort::kMemberBlock + 3;
+  EXPECT_EQ(run(members, 4), run(members, 1));
+}
+
+// Fixed-seed cohort run around the shared-reservoir edge. Rounds
+// i = 1..4 take k = m-1, m, m+1 and 3m offers split over two drains:
+// up to m offers (authentic "a" first) before the first drain, the rest
+// (authentic "b" last) before the second, so rounds with k > m overflow
+// in their second drain. On the k = 3m round "a" is revealed at the
+// first drain, so a match consumes a slot before the overflow. The
+// cohort crash-restarts after round 2. Each drain appends its members'
+// outcomes, then member_auths, member_auth_misses, stored_records and
+// stored_for_interval(i).
+std::vector<std::uint64_t> shared_reservoir_trace(std::size_t m,
+                                                  std::size_t members) {
+  fleet::CohortConfig config = cohort_config(members, 40 + m);
+  config.dap.buffers = m;
+  protocol::DapSender sender(config.dap, common::Rng(1).bytes(16));
+  fleet::ReceiverCohort cohort(config, sender.chain().commitment());
+  sim::FloodingForger forger(config.dap.sender_id, config.dap.mac_size,
+                             common::Rng(91));
+  std::vector<std::uint64_t> trace;
+  const auto drain = [&](sim::SimTime t, std::uint32_t i) {
+    for (const auto& outcome : cohort.drain(t)) {
+      trace.push_back(outcome.members_authenticated);
+    }
+    const fleet::CohortStats& st = cohort.stats();
+    trace.insert(trace.end(), {st.member_auths, st.member_auth_misses,
+                               st.stored_records,
+                               cohort.stored_for_interval(i)});
+  };
+  const std::size_t offers[] = {m - 1, m, m + 1, 3 * m};
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    const std::uint32_t i = r + 1;
+    const std::size_t k = offers[r];
+    const std::size_t first = std::min(k, m);
+    const bool early_match = k == 3 * m;
+    const sim::SimTime t = announce_time(config.dap, i);
+    for (std::size_t n = 0; n < first; ++n) {
+      cohort.receive_announce(
+          n == 0 ? sender.announce(i, common::bytes_of("a")) : forger.forge(i),
+          t);
+    }
+    if (early_match) cohort.enqueue_reveal(sender.reveal(i, 0));
+    drain(t, i);
+    for (std::size_t n = first; n < k; ++n) {
+      cohort.receive_announce(n + 1 == k
+                                  ? sender.announce(i, common::bytes_of("b"))
+                                  : forger.forge(i),
+                              t);
+    }
+    if (first > 0 && !early_match) cohort.enqueue_reveal(sender.reveal(i, 0));
+    if (k > first) cohort.enqueue_reveal(sender.reveal(i, 1));
+    drain(drain_time(config.dap, i), i);
+    if (r == 1) cohort.crash_restart(drain_time(config.dap, i));
+  }
+  return trace;
+}
+
+TEST(Cohort, SharedReservoirMatchesParentReplay) {
+  // Captured from the per-member replay that predates the shared
+  // reservoir: storing a clean round once must not change one outcome.
+  struct Golden {
+    std::size_t m;
+    std::size_t members;
+    std::vector<std::uint64_t> trace;
+  };
+  const std::vector<Golden> golden = {
+      {1, 1, std::vector<std::uint64_t>(37, 0)},
+      {1, 2, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0,
+              1, 1, 1, 0, 2, 1, 0, 0, 1, 3, 1, 0, 0, 0, 3, 2, 1, 1}},
+      {1, 257, {0,   0,   0, 0,   0,   0,   0,   0,   0,   0,
+                256, 256, 256, 256, 0,   0,   0,   256, 0,   256,
+                256, 130, 126, 512, 256, 0,   0,   256, 768, 256,
+                0,   0,   70,  838, 442, 186, 186}},
+      {2, 1, std::vector<std::uint64_t>(38, 0)},
+      {2, 2, {0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 2, 2, 1, 2, 0, 1, 1, 2,
+              0, 2, 2, 1, 1, 4, 0, 0, 0, 1, 5, 0, 1, 1, 0, 5, 1, 2, 2}},
+      {2, 257, {0,   0,   256, 256, 256, 256,  0,   0,   0,   256,
+                0,   512, 512, 256, 512, 0,    256, 256, 512, 0,
+                512, 512, 165, 182, 859, 165,  165, 165, 256, 1115,
+                165, 421, 256, 78,  1193, 343, 599, 434}},
+      {4, 1, std::vector<std::uint64_t>(38, 0)},
+      {4, 2, {0, 0, 3, 3, 1, 1, 0, 2, 2, 1, 0, 6, 4, 1, 2, 0, 5, 3, 2,
+              0, 4, 4, 1, 1, 4, 0, 2, 2, 1, 5, 0, 5, 3, 0, 5, 1, 6, 4}},
+      {4, 257, {0,   0,    768, 768, 256,  256, 0,    512, 512, 256,
+                0,   1536, 1024, 256, 512, 0,   1280, 768, 512, 0,
+                1024, 1024, 203, 211, 926, 98,  610,  610, 256, 1182,
+                98,  1378, 768, 89,  1271, 265, 1545, 935}},
+  };
+  for (const Golden& g : golden) {
+    EXPECT_EQ(shared_reservoir_trace(g.m, g.members), g.trace)
+        << "m=" << g.m << " members=" << g.members;
+  }
 }
 
 TEST(Cohort, DrainOutcomesCarryRevealVerdicts) {

@@ -294,6 +294,34 @@ TEST(Tracer, RecordingIsAllocationFree) {
   EXPECT_EQ(before, g_allocations.load());
 }
 
+TEST(Tracer, SpanRecordingIsAllocationFree) {
+  Tracer tracer(128);
+  tracer.enable(true);
+  const std::uint64_t before = g_allocations.load();
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    SpanEvent span;
+    span.uid = i + 1;
+    span.t_begin = i;
+    span.t_end = i + 1;
+    tracer.record_span(span);
+  }
+  EXPECT_EQ(before, g_allocations.load());
+  EXPECT_EQ(tracer.span_size(), 128u);
+  EXPECT_EQ(tracer.spans_dropped(), 1000u - 128u);
+}
+
+TEST(Tracer, LargeRingHoldingFewEventsReportsThem) {
+  Tracer tracer(std::size_t{1} << 17);
+  tracer.enable(true);
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    tracer.record(TraceKind::kAnnounce, i, i);
+  }
+  EXPECT_EQ(tracer.size(), 10u);
+  EXPECT_EQ(tracer.capacity(), std::size_t{1} << 17);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(tracer.snapshot().back().id, 9u);
+}
+
 // Minimal JSON value scanner for the round-trip tests.
 std::string json_field(const std::string& line, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
