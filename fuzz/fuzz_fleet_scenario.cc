@@ -1,5 +1,5 @@
 // Fuzz harness for the ScenarioSpec JSON parser — the one fleet surface
-// that consumes operator-controlled text (scenario files).
+// that reads untrusted text.
 //
 // Properties checked on every input:
 //   1. parse() never crashes: it either throws std::invalid_argument or

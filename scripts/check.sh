@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local check: tier-1 build + test suite (including the lint and
 # fuzz-corpus-replay ctest entries), an explicit static-analysis stage
-# (repo lint, thread-safety gate, run-clang-tidy when installed), then
-# the ENTIRE ctest suite again under AddressSanitizer + UBSan with
-# contracts at the fatal level.
+# (repo lint, thread-safety gate, fuzz-corpus drift check, run-clang-tidy
+# when installed), then the ENTIRE ctest suite again under
+# AddressSanitizer + UBSan with contracts at the fatal level.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # tier-1 only, skip the sanitizer pass
@@ -47,6 +47,14 @@ python3 scripts/bench_trend.py --baseline BENCH_game.json \
 echo "== static analysis: repo lint + thread-safety gate =="
 python3 scripts/lint.py src
 python3 scripts/thread_safety_check.py
+# The checked-in fuzz seed corpus must be exactly what its generator
+# writes (same gate as CI, so commit regenerated seeds first).
+python3 scripts/make_fuzz_corpus.py >/dev/null
+if [[ -n "$(git status --porcelain fuzz/corpus)" ]]; then
+  echo "fuzz/corpus drifted from scripts/make_fuzz_corpus.py:"
+  git status --porcelain fuzz/corpus
+  exit 1
+fi
 if command -v run-clang-tidy >/dev/null 2>&1; then
   run-clang-tidy -quiet -p build '(src|fuzz)/.*\.cc$'
 else

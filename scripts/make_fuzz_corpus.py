@@ -188,7 +188,9 @@ def fleet_scenario_seeds():
     # strategy block's adaptive/sybil/coop extensions), plus malformed
     # shapes that exercise each rejection path (unknown keys, non-pow2
     # guard capacity, out-of-range strategy knobs, resource-ceiling
-    # overflow, truncation).
+    # overflow, truncation), and the integer/double edges of the number
+    # model (a value wider than its uint32 field, seeds past 2^53 that
+    # must stay exact, a double that needs all 17 significant digits).
     chaos = (
         '{"name": "chaos", "seed": 7, '
         '"topology": {"kind": "tree", "depth": 2, "fanout": 1}, '
@@ -249,6 +251,15 @@ def fleet_scenario_seeds():
             '"faults": {"relay_crashes": [{"node": 0}]}}',
         "overflow_nodes":
             '{"topology": {"kind": "flood", "receivers": 100000000}}',
+        "uint32_overflow":
+            '{"topology": {"kind": "flood", "receivers": 4294967300}}',
+        "seed_2p53_plus_1":
+            '{"topology": {"kind": "tree"}, "seed": 9007199254740993}',
+        "seed_uint64_max":
+            '{"topology": {"kind": "tree"}, "seed": 18446744073709551615}',
+        "double_17_digits":
+            '{"topology": {"kind": "tree"}, '
+            '"forged_fraction": 0.33333333333333331}',
         "truncated": '{"topology": {"kind": "tree",',
         "not_json": "hello",
         "empty": "",

@@ -1,10 +1,16 @@
 #include "fleet/scenario.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -17,13 +23,16 @@ namespace {
 // ---------------------------------------------------------------------------
 // Minimal JSON: objects, arrays, strings (\" and \\ escapes), numbers,
 // booleans. Enough to round-trip ScenarioSpec; anything else is an error.
+// All-digit numbers are held as exact uint64, every other number as a
+// double.
 
 struct JsonValue;
 using JsonObject = std::map<std::string, JsonValue>;
 using JsonArray = std::vector<JsonValue>;
 
 struct JsonValue {
-  std::variant<bool, double, std::string, JsonArray, JsonObject> value;
+  std::variant<bool, double, std::uint64_t, std::string, JsonArray, JsonObject>
+      value;
 };
 
 class JsonParser {
@@ -159,6 +168,15 @@ class JsonParser {
       ++pos_;
     }
     const std::string token = text_.substr(start, pos_ - start);
+    // All-digit tokens stay exact (a 64-bit seed must round-trip). One
+    // that overflows uint64 takes the double path below, so an integer
+    // field reports it as too large.
+    std::uint64_t integer = 0;
+    const char* last = token.data() + token.size();
+    if (const auto [ptr, ec] = std::from_chars(token.data(), last, integer);
+        ec == std::errc() && ptr == last) {
+      return JsonValue{integer};
+    }
     char* end = nullptr;
     const double parsed = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') fail("malformed number");
@@ -172,75 +190,50 @@ class JsonParser {
 // ---------------------------------------------------------------------------
 // Typed accessors with strict error messages.
 
-const JsonObject& as_object(const JsonValue& v, const std::string& where) {
-  const auto* obj = std::get_if<JsonObject>(&v.value);
-  if (obj == nullptr) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be an object");
+/// The value as a T, else "<where> must be <what>".
+template <class T>
+const T& as(const JsonValue& v, const std::string& where, const char* what) {
+  const auto* typed = std::get_if<T>(&v.value);
+  if (typed == nullptr) {
+    throw std::invalid_argument("scenario json: " + where + " must be " +
+                                what);
   }
-  return *obj;
+  return *typed;
 }
 
 double as_number(const JsonValue& v, const std::string& where) {
-  const auto* num = std::get_if<double>(&v.value);
-  if (num == nullptr) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be a number");
+  if (const auto* integer = std::get_if<std::uint64_t>(&v.value)) {
+    return static_cast<double>(*integer);
   }
-  return *num;
+  return as<double>(v, where, "a number");
 }
 
-std::uint64_t as_uint(const JsonValue& v, const std::string& where) {
-  const double num = as_number(v, where);
-  if (num < 0 || std::floor(num) != num) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be a non-negative integer");
+/// Reads an integer into a field whose largest value is `max`: anything
+/// wider is rejected, never wrapped.
+std::uint64_t as_uint(const JsonValue& v, const std::string& where,
+                      std::uint64_t max) {
+  std::uint64_t value = 0;
+  if (const auto* integer = std::get_if<std::uint64_t>(&v.value)) {
+    value = *integer;
+  } else {
+    const double num = as_number(v, where);
+    if (num < 0 || std::floor(num) != num) {
+      throw std::invalid_argument("scenario json: " + where +
+                                  " must be a non-negative integer");
+    }
+    // Cap at 2^53 (the last exactly-representable range): a larger
+    // non-digit number (1e17) is a typo or an attack, and the cast below
+    // must stay defined.
+    if (num > 9007199254740992.0) {
+      throw std::invalid_argument("scenario json: " + where +
+                                  " is too large");
+    }
+    value = static_cast<std::uint64_t>(num);
   }
-  // Cap at 2^53 (the last exactly-representable range): anything larger
-  // is a typo or an attack, and the cast below must stay defined.
-  if (num > 9007199254740992.0) {
+  if (value > max) {
     throw std::invalid_argument("scenario json: " + where + " is too large");
   }
-  return static_cast<std::uint64_t>(num);
-}
-
-bool as_bool(const JsonValue& v, const std::string& where) {
-  const auto* b = std::get_if<bool>(&v.value);
-  if (b == nullptr) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be a boolean");
-  }
-  return *b;
-}
-
-const std::string& as_string(const JsonValue& v, const std::string& where) {
-  const auto* s = std::get_if<std::string>(&v.value);
-  if (s == nullptr) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be a string");
-  }
-  return *s;
-}
-
-/// Rejects keys the schema does not know, naming the first offender.
-void reject_unknown_keys(const JsonObject& object,
-                         std::initializer_list<const char*> known,
-                         const std::string& where) {
-  for (const auto& [key, value] : object) {
-    (void)value;
-    bool ok = false;
-    for (const char* k : known) {
-      // lint: allow(secret-taint): JSON field name, not key material
-      if (key == k) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      throw std::invalid_argument("scenario json: unknown key \"" + key +
-                                  "\" in " + where);
-    }
-  }
+  return value;
 }
 
 std::string quote(const std::string& s) {
@@ -253,14 +246,319 @@ std::string quote(const std::string& s) {
   return out;
 }
 
-const JsonArray& as_array(const JsonValue& v, const std::string& where) {
-  const auto* array = std::get_if<JsonArray>(&v.value);
-  if (array == nullptr) {
-    throw std::invalid_argument("scenario json: " + where +
-                                " must be an array");
+/// The shortest %.{6..17}g that strtod maps back to `v`, so every double
+/// round-trips; a value %.6g already prints exactly keeps those bytes.
+std::string json_number(double v) {
+  std::string out = common::format_number(v);
+  for (int digits = 7;
+       std::isfinite(v) && std::strtod(out.c_str(), nullptr) != v;
+       ++digits) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+    out = buf;
   }
-  return *array;
+  return out;
 }
+
+// ---------------------------------------------------------------------------
+// The schema: one table of rows per JSON object, in emission order.
+// read_value() and write_value() walk the same rows, so each key is
+// spelled once, and what to_json() emits is what parse() reads back.
+
+template <class S>
+struct Row {
+  const char* key;
+  void (*read)(const JsonValue& value, const std::string& path, S& out);
+  /// The serialized value, or "" when the row is left out.
+  std::string (*write)(const S& in);
+  bool required = false;
+};
+
+/// Specialized below for every struct that is a JSON object.
+template <class S>
+struct Schema;
+
+template <class M>
+struct MemberOf;
+template <class S, class T>
+struct MemberOf<T S::*> {
+  using Owner = S;
+};
+
+template <class T>
+struct IsVector : std::false_type {};
+template <class T>
+struct IsVector<std::vector<T>> : std::true_type {};
+
+/// A block whose `enabled` row is false is left out whole.
+constexpr const char* kEnabled = "enabled";
+/// The topology object's discriminator; its other keys follow from it.
+constexpr const char* kKind = "kind";
+
+std::string where(const std::string& path) {
+  return path.empty() ? "document" : path;
+}
+
+/// Rejects keys the rows do not know (naming the first offender), then
+/// reads every row present. `path` is the object's key path ("" = root).
+template <class S>
+void read_rows(const JsonObject& object, const std::string& path,
+               std::type_identity_t<std::span<const Row<S>>> rows, S& out,
+               const char* also_known = nullptr) {
+  for (const auto& entry : object) {
+    const std::string& key = entry.first;
+    // lint: allow(secret-taint): JSON field name, not key material
+    bool known = also_known != nullptr && key == also_known;
+    for (const Row<S>& row : rows) {
+      // lint: allow(secret-taint): JSON field name, not key material
+      known = known || key == row.key;
+    }
+    if (!known) {
+      throw std::invalid_argument("scenario json: unknown key \"" + key +
+                                  "\" in " + where(path));
+    }
+  }
+  for (const Row<S>& row : rows) {
+    const auto it = object.find(row.key);
+    if (it != object.end()) {
+      row.read(it->second, path.empty() ? row.key : path + "." + row.key,
+               out);
+    } else if (row.required) {
+      throw std::invalid_argument("scenario json: missing \"" +
+                                  std::string(row.key) + "\"");
+    }
+  }
+}
+
+template <class S>
+std::string write_rows(const S& in,
+                       std::type_identity_t<std::span<const Row<S>>> rows) {
+  std::string body;
+  for (const Row<S>& row : rows) {
+    const std::string value = row.write(in);
+    if (std::string_view(row.key) == kEnabled && value == "false") return "";
+    if (value.empty()) continue;
+    body += (body.empty() ? "" : ", ") + quote(row.key) + ": " + value;
+  }
+  return body;
+}
+
+template <class T>
+void read_value(const JsonValue& value, const std::string& path, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out = as<bool>(value, path, "a boolean");
+  } else if constexpr (std::is_same_v<T, double>) {
+    out = as_number(value, path);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = as<std::string>(value, path, "a string");
+  } else if constexpr (std::is_unsigned_v<T>) {
+    out = static_cast<T>(as_uint(value, path, std::numeric_limits<T>::max()));
+  } else if constexpr (IsVector<T>::value) {
+    const auto& array = as<JsonArray>(value, path, "an array");
+    out.assign(array.size(), {});
+    for (std::size_t i = 0; i < array.size(); ++i) {
+      read_value(array[i], path + "[" + std::to_string(i) + "]", out[i]);
+    }
+  } else {
+    read_rows<T>(as<JsonObject>(value, where(path), "an object"), path,
+                 Schema<T>::fields, out);
+  }
+}
+
+template <class T>
+std::string write_value(const T& in) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return in ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return json_number(in);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return quote(in);
+  } else if constexpr (std::is_unsigned_v<T>) {
+    return std::to_string(in);
+  } else if constexpr (IsVector<T>::value) {
+    // An array of blocks appears only when non-empty (canonical form).
+    if (std::is_class_v<typename T::value_type> && in.empty()) return "";
+    std::string out = "[";
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      out += (i == 0 ? "" : ", ") + write_value(in[i]);
+    }
+    return out + "]";
+  } else {
+    // A block appears only when something inside it does.
+    const std::string body = write_rows<T>(in, Schema<T>::fields);
+    return body.empty() ? "" : "{" + body + "}";
+  }
+}
+
+/// The row for one data member: `row<&HopSpec::loss>("loss")`.
+template <auto member>
+constexpr auto row(const char* key) {
+  using S = typename MemberOf<decltype(member)>::Owner;
+  return Row<S>{
+      key,
+      [](const JsonValue& value, const std::string& path, S& out) {
+        read_value(value, path, out.*member);
+      },
+      [](const S& in) { return write_value(in.*member); }};
+}
+
+template <>
+struct Schema<GuardConfig> {
+  static constexpr Row<GuardConfig> fields[] = {
+      row<&GuardConfig::capacity>("capacity"),
+      row<&GuardConfig::budget_mbps>("budget_mbps"),
+      row<&GuardConfig::burst_bits>("burst_bits"),
+  };
+};
+
+template <>
+struct Schema<HopSpec> {
+  static constexpr Row<HopSpec> fields[] = {
+      row<&HopSpec::loss>("loss"),
+      row<&HopSpec::duplicate_probability>("duplicate_probability"),
+      row<&HopSpec::latency_us>("latency_us"),
+      row<&HopSpec::jitter_us>("jitter_us"),
+  };
+};
+
+template <>
+struct Schema<RelayCrashSpec> {
+  static constexpr Row<RelayCrashSpec> fields[] = {
+      row<&RelayCrashSpec::node>("node"),
+      row<&RelayCrashSpec::at_interval>("at_interval"),
+      row<&RelayCrashSpec::downtime_intervals>("downtime_intervals"),
+      row<&RelayCrashSpec::reboot_skew_us>("reboot_skew_us"),
+  };
+};
+
+template <>
+struct Schema<LinkPartitionSpec> {
+  static constexpr Row<LinkPartitionSpec> fields[] = {
+      row<&LinkPartitionSpec::from>("from"),
+      row<&LinkPartitionSpec::to>("to"),
+      row<&LinkPartitionSpec::from_interval>("from_interval"),
+      row<&LinkPartitionSpec::until_interval>("until_interval"),
+  };
+};
+
+template <>
+struct Schema<DegradedRelaySpec> {
+  static constexpr Row<DegradedRelaySpec> fields[] = {
+      row<&DegradedRelaySpec::node>("node"),
+      row<&DegradedRelaySpec::budget_mbps>("budget_mbps"),
+  };
+};
+
+template <>
+struct Schema<FaultSpec> {
+  static constexpr Row<FaultSpec> fields[] = {
+      row<&FaultSpec::relay_crashes>("relay_crashes"),
+      row<&FaultSpec::partitions>("partitions"),
+      row<&FaultSpec::degraded>("degraded"),
+  };
+};
+
+template <>
+struct Schema<AdaptiveAdversarySpec> {
+  static constexpr Row<AdaptiveAdversarySpec> fields[] = {
+      row<&AdaptiveAdversarySpec::enabled>(kEnabled),
+      row<&AdaptiveAdversarySpec::learning_rate>("learning_rate"),
+      row<&AdaptiveAdversarySpec::initial_share>("initial_share"),
+      row<&AdaptiveAdversarySpec::reward>("reward"),
+      row<&AdaptiveAdversarySpec::cost>("cost"),
+  };
+};
+
+template <>
+struct Schema<SybilSpec> {
+  static constexpr Row<SybilSpec> fields[] = {
+      row<&SybilSpec::enabled>(kEnabled),
+      row<&SybilSpec::cohort>("cohort"),
+      row<&SybilSpec::reveal_stagger_us>("reveal_stagger_us"),
+  };
+};
+
+template <>
+struct Schema<CoopSpec> {
+  static constexpr Row<CoopSpec> fields[] = {
+      row<&CoopSpec::enabled>(kEnabled),
+      row<&CoopSpec::audit_fraction>("audit_fraction"),
+      row<&CoopSpec::poisoned>("poisoned"),
+  };
+};
+
+template <>
+struct Schema<StrategySpec> {
+  static constexpr Row<StrategySpec> fields[] = {
+      row<&StrategySpec::adaptive>("adaptive"),
+      row<&StrategySpec::sybil>("sybil"),
+      row<&StrategySpec::coop>("coop"),
+  };
+};
+
+// Topology shape keys per kind; the fields live in ScenarioSpec itself.
+constexpr Row<ScenarioSpec> kTreeShape[] = {
+    row<&ScenarioSpec::depth>("depth"), row<&ScenarioSpec::fanout>("fanout")};
+constexpr Row<ScenarioSpec> kGridShape[] = {
+    row<&ScenarioSpec::rows>("rows"), row<&ScenarioSpec::cols>("cols")};
+constexpr Row<ScenarioSpec> kGossipShape[] = {
+    row<&ScenarioSpec::relays>("relays"), row<&ScenarioSpec::fanin>("fanin")};
+constexpr Row<ScenarioSpec> kFloodShape[] = {
+    row<&ScenarioSpec::receivers>("receivers")};
+
+std::span<const Row<ScenarioSpec>> shape_rows(TopologyKind kind) {
+  switch (kind) {
+    case TopologyKind::kTree:
+      return kTreeShape;
+    case TopologyKind::kGrid:
+      return kGridShape;
+    case TopologyKind::kGossip:
+      return kGossipShape;
+    case TopologyKind::kFlood:
+      return kFloodShape;
+  }
+  return {};
+}
+
+void read_topology(const JsonValue& value, const std::string& path,
+                   ScenarioSpec& out) {
+  const auto& topology = as<JsonObject>(value, path, "an object");
+  const auto kind = topology.find(kKind);
+  if (kind == topology.end()) {
+    throw std::invalid_argument("scenario json: " + path + " missing \"" +
+                                kKind + "\"");
+  }
+  out.kind = topology_kind_from_name(
+      as<std::string>(kind->second, path + "." + kKind, "a string"));
+  read_rows<ScenarioSpec>(topology, path, shape_rows(out.kind), out, kKind);
+}
+
+std::string write_topology(const ScenarioSpec& in) {
+  const std::string shape = write_rows<ScenarioSpec>(in, shape_rows(in.kind));
+  return "{" + quote(kKind) + ": " + quote(topology_kind_name(in.kind)) +
+         (shape.empty() ? "" : ", ") + shape + "}";
+}
+
+template <>
+struct Schema<ScenarioSpec> {
+  static constexpr Row<ScenarioSpec> fields[] = {
+      row<&ScenarioSpec::name>("name"),
+      row<&ScenarioSpec::seed>("seed"),
+      {"topology", read_topology, write_topology, /*required=*/true},
+      row<&ScenarioSpec::members_per_cohort>("members_per_cohort"),
+      row<&ScenarioSpec::buffers>("buffers"),
+      row<&ScenarioSpec::cohorts_at_leaves_only>("cohorts_at_leaves_only"),
+      row<&ScenarioSpec::intervals>("intervals"),
+      row<&ScenarioSpec::interval_us>("interval_us"),
+      row<&ScenarioSpec::forged_fraction>("forged_fraction"),
+      row<&ScenarioSpec::attackers>("attackers"),
+      row<&ScenarioSpec::relay_dedup>("relay_dedup"),
+      row<&ScenarioSpec::guard>("guard"),
+      row<&ScenarioSpec::faults>("faults"),
+      row<&ScenarioSpec::strategy>("strategy"),
+      row<&ScenarioSpec::hop>("hop"),
+  };
+};
 
 /// Untrusted-input ceilings: a spec is a scenario description, not a
 /// resource grant — parsing one must never commit the process to huge
@@ -356,417 +654,11 @@ std::string ScenarioSpec::id() const {
               : "");
 }
 
-std::string ScenarioSpec::to_json() const {
-  std::string topo = "{\"kind\": " +
-                     quote(topology_kind_name(kind));
-  switch (kind) {
-    case TopologyKind::kTree:
-      topo += ", \"depth\": " + std::to_string(depth) +
-              ", \"fanout\": " + std::to_string(fanout);
-      break;
-    case TopologyKind::kGrid:
-      topo += ", \"rows\": " + std::to_string(rows) +
-              ", \"cols\": " + std::to_string(cols);
-      break;
-    case TopologyKind::kGossip:
-      topo += ", \"relays\": " + std::to_string(relays) +
-              ", \"fanin\": " + std::to_string(fanin);
-      break;
-    case TopologyKind::kFlood:
-      topo += ", \"receivers\": " + std::to_string(receivers);
-      break;
-  }
-  topo += "}";
-
-  std::string attacker_list = "[";
-  for (std::size_t i = 0; i < attackers.size(); ++i) {
-    attacker_list += (i == 0 ? "" : ", ") + std::to_string(attackers[i]);
-  }
-  attacker_list += "]";
-
-  std::string guard_json =
-      "{\"capacity\": " + std::to_string(guard.capacity) +
-      ", \"budget_mbps\": " + common::format_number(guard.budget_mbps) +
-      ", \"burst_bits\": " + common::format_number(guard.burst_bits) + "}";
-
-  // Fault plan: sub-arrays appear only when non-empty, so a fault-free
-  // spec's JSON is unchanged and the emitted form is canonical.
-  std::string fault_json;
-  if (!faults.empty()) {
-    fault_json = ", \"faults\": {";
-    std::string sep;
-    if (!faults.relay_crashes.empty()) {
-      fault_json += "\"relay_crashes\": [";
-      for (std::size_t i = 0; i < faults.relay_crashes.size(); ++i) {
-        const RelayCrashSpec& c = faults.relay_crashes[i];
-        fault_json += (i == 0 ? "" : ", ");
-        fault_json += "{\"node\": " + std::to_string(c.node) +
-                      ", \"at_interval\": " + std::to_string(c.at_interval) +
-                      ", \"downtime_intervals\": " +
-                      std::to_string(c.downtime_intervals) +
-                      ", \"reboot_skew_us\": " +
-                      std::to_string(c.reboot_skew_us) + "}";
-      }
-      fault_json += "]";
-      sep = ", ";
-    }
-    if (!faults.partitions.empty()) {
-      fault_json += sep + "\"partitions\": [";
-      for (std::size_t i = 0; i < faults.partitions.size(); ++i) {
-        const LinkPartitionSpec& p = faults.partitions[i];
-        fault_json += (i == 0 ? "" : ", ");
-        fault_json += "{\"from\": " + std::to_string(p.from) +
-                      ", \"to\": " + std::to_string(p.to) +
-                      ", \"from_interval\": " +
-                      std::to_string(p.from_interval) +
-                      ", \"until_interval\": " +
-                      std::to_string(p.until_interval) + "}";
-      }
-      fault_json += "]";
-      sep = ", ";
-    }
-    if (!faults.degraded.empty()) {
-      fault_json += sep + "\"degraded\": [";
-      for (std::size_t i = 0; i < faults.degraded.size(); ++i) {
-        const DegradedRelaySpec& d = faults.degraded[i];
-        fault_json += (i == 0 ? "" : ", ");
-        fault_json += "{\"node\": " + std::to_string(d.node) +
-                      ", \"budget_mbps\": " +
-                      common::format_number(d.budget_mbps) + "}";
-      }
-      fault_json += "]";
-    }
-    fault_json += "}";
-  }
-
-  // Strategy block: emitted only when engaged, and within it only the
-  // enabled sub-blocks, so a plain spec's JSON is unchanged and the
-  // emitted form stays canonical.
-  std::string strategy_json;
-  if (strategy.engaged()) {
-    strategy_json = ", \"strategy\": {";
-    std::string sep;
-    if (strategy.adaptive.enabled) {
-      strategy_json +=
-          "\"adaptive\": {\"enabled\": true, \"learning_rate\": " +
-          common::format_number(strategy.adaptive.learning_rate) +
-          ", \"initial_share\": " +
-          common::format_number(strategy.adaptive.initial_share) +
-          ", \"reward\": " + common::format_number(strategy.adaptive.reward) +
-          ", \"cost\": " + common::format_number(strategy.adaptive.cost) +
-          "}";
-      sep = ", ";
-    }
-    if (strategy.sybil.enabled) {
-      strategy_json += sep + "\"sybil\": {\"enabled\": true, \"cohort\": " +
-                       std::to_string(strategy.sybil.cohort) +
-                       ", \"reveal_stagger_us\": " +
-                       std::to_string(strategy.sybil.reveal_stagger_us) + "}";
-      sep = ", ";
-    }
-    if (strategy.coop.enabled) {
-      strategy_json +=
-          sep + "\"coop\": {\"enabled\": true, \"audit_fraction\": " +
-          common::format_number(strategy.coop.audit_fraction) +
-          ", \"poisoned\": " + (strategy.coop.poisoned ? "true" : "false") +
-          "}";
-    }
-    strategy_json += "}";
-  }
-
-  return "{\"name\": " + quote(name) +
-         ", \"seed\": " + std::to_string(seed) +
-         ", \"topology\": " + topo +
-         ", \"members_per_cohort\": " + std::to_string(members_per_cohort) +
-         ", \"buffers\": " + std::to_string(buffers) +
-         ", \"cohorts_at_leaves_only\": " +
-         (cohorts_at_leaves_only ? "true" : "false") +
-         ", \"intervals\": " + std::to_string(intervals) +
-         ", \"interval_us\": " + std::to_string(interval_us) +
-         ", \"forged_fraction\": " + common::format_number(forged_fraction) +
-         ", \"attackers\": " + attacker_list +
-         ", \"relay_dedup\": " + (relay_dedup ? "true" : "false") +
-         ", \"guard\": " + guard_json + fault_json + strategy_json +
-         ", \"hop\": {\"loss\": " + common::format_number(hop.loss) +
-         ", \"duplicate_probability\": " +
-         common::format_number(hop.duplicate_probability) +
-         ", \"latency_us\": " + std::to_string(hop.latency_us) +
-         ", \"jitter_us\": " + std::to_string(hop.jitter_us) + "}}";
-}
+std::string ScenarioSpec::to_json() const { return write_value(*this); }
 
 ScenarioSpec ScenarioSpec::parse(const std::string& json) {
-  const JsonValue root = JsonParser(json).parse();
-  const JsonObject& object = as_object(root, "document");
-  reject_unknown_keys(object,
-                      {"name", "seed", "topology", "members_per_cohort",
-                       "buffers", "cohorts_at_leaves_only", "intervals",
-                       "interval_us", "forged_fraction", "attackers",
-                       "relay_dedup", "guard", "faults", "strategy", "hop"},
-                      "document");
-
   ScenarioSpec spec;
-  if (const auto it = object.find("name"); it != object.end()) {
-    spec.name = as_string(it->second, "name");
-  }
-  if (const auto it = object.find("seed"); it != object.end()) {
-    spec.seed = as_uint(it->second, "seed");
-  }
-
-  const auto topo_it = object.find("topology");
-  if (topo_it == object.end()) {
-    throw std::invalid_argument("scenario json: missing \"topology\"");
-  }
-  const JsonObject& topo = as_object(topo_it->second, "topology");
-  const auto kind_it = topo.find("kind");
-  if (kind_it == topo.end()) {
-    throw std::invalid_argument("scenario json: topology missing \"kind\"");
-  }
-  spec.kind =
-      topology_kind_from_name(as_string(kind_it->second, "topology.kind"));
-  const auto topo_uint = [&topo](const char* key, std::uint32_t fallback) {
-    const auto it = topo.find(key);
-    if (it == topo.end()) return fallback;
-    return static_cast<std::uint32_t>(
-        as_uint(it->second, std::string("topology.") + key));
-  };
-  switch (spec.kind) {
-    case TopologyKind::kTree:
-      reject_unknown_keys(topo, {"kind", "depth", "fanout"}, "topology");
-      spec.depth = topo_uint("depth", spec.depth);
-      spec.fanout = topo_uint("fanout", spec.fanout);
-      break;
-    case TopologyKind::kGrid:
-      reject_unknown_keys(topo, {"kind", "rows", "cols"}, "topology");
-      spec.rows = topo_uint("rows", spec.rows);
-      spec.cols = topo_uint("cols", spec.cols);
-      break;
-    case TopologyKind::kGossip:
-      reject_unknown_keys(topo, {"kind", "relays", "fanin"}, "topology");
-      spec.relays = topo_uint("relays", spec.relays);
-      spec.fanin = topo_uint("fanin", spec.fanin);
-      break;
-    case TopologyKind::kFlood:
-      reject_unknown_keys(topo, {"kind", "receivers"}, "topology");
-      spec.receivers = topo_uint("receivers", spec.receivers);
-      break;
-  }
-
-  if (const auto it = object.find("members_per_cohort"); it != object.end()) {
-    spec.members_per_cohort =
-        static_cast<std::size_t>(as_uint(it->second, "members_per_cohort"));
-  }
-  if (const auto it = object.find("buffers"); it != object.end()) {
-    spec.buffers = static_cast<std::size_t>(as_uint(it->second, "buffers"));
-  }
-  if (const auto it = object.find("cohorts_at_leaves_only");
-      it != object.end()) {
-    spec.cohorts_at_leaves_only =
-        as_bool(it->second, "cohorts_at_leaves_only");
-  }
-  if (const auto it = object.find("intervals"); it != object.end()) {
-    spec.intervals = static_cast<std::uint32_t>(as_uint(it->second, "intervals"));
-  }
-  if (const auto it = object.find("interval_us"); it != object.end()) {
-    spec.interval_us = as_uint(it->second, "interval_us");
-  }
-  if (const auto it = object.find("forged_fraction"); it != object.end()) {
-    spec.forged_fraction = as_number(it->second, "forged_fraction");
-  }
-  if (const auto it = object.find("attackers"); it != object.end()) {
-    const auto* array = std::get_if<JsonArray>(&it->second.value);
-    if (array == nullptr) {
-      throw std::invalid_argument(
-          "scenario json: attackers must be an array");
-    }
-    for (std::size_t i = 0; i < array->size(); ++i) {
-      spec.attackers.push_back(static_cast<std::uint32_t>(as_uint(
-          (*array)[i], "attackers[" + std::to_string(i) + "]")));
-    }
-  }
-  if (const auto it = object.find("relay_dedup"); it != object.end()) {
-    spec.relay_dedup = as_bool(it->second, "relay_dedup");
-  }
-  if (const auto it = object.find("guard"); it != object.end()) {
-    const JsonObject& guard = as_object(it->second, "guard");
-    reject_unknown_keys(guard, {"capacity", "budget_mbps", "burst_bits"},
-                        "guard");
-    if (const auto g = guard.find("capacity"); g != guard.end()) {
-      spec.guard.capacity =
-          static_cast<std::size_t>(as_uint(g->second, "guard.capacity"));
-    }
-    if (const auto g = guard.find("budget_mbps"); g != guard.end()) {
-      spec.guard.budget_mbps = as_number(g->second, "guard.budget_mbps");
-    }
-    if (const auto g = guard.find("burst_bits"); g != guard.end()) {
-      spec.guard.burst_bits = as_number(g->second, "guard.burst_bits");
-    }
-  }
-  if (const auto it = object.find("faults"); it != object.end()) {
-    const JsonObject& faults = as_object(it->second, "faults");
-    reject_unknown_keys(faults, {"relay_crashes", "partitions", "degraded"},
-                        "faults");
-    if (const auto f = faults.find("relay_crashes"); f != faults.end()) {
-      const JsonArray& crashes = as_array(f->second, "faults.relay_crashes");
-      for (std::size_t i = 0; i < crashes.size(); ++i) {
-        const std::string at =
-            "faults.relay_crashes[" + std::to_string(i) + "]";
-        const JsonObject& crash = as_object(crashes[i], at);
-        reject_unknown_keys(crash,
-                            {"node", "at_interval", "downtime_intervals",
-                             "reboot_skew_us"},
-                            at);
-        RelayCrashSpec out;
-        if (const auto c = crash.find("node"); c != crash.end()) {
-          out.node =
-              static_cast<std::uint32_t>(as_uint(c->second, at + ".node"));
-        }
-        if (const auto c = crash.find("at_interval"); c != crash.end()) {
-          out.at_interval = static_cast<std::uint32_t>(
-              as_uint(c->second, at + ".at_interval"));
-        }
-        if (const auto c = crash.find("downtime_intervals");
-            c != crash.end()) {
-          out.downtime_intervals = static_cast<std::uint32_t>(
-              as_uint(c->second, at + ".downtime_intervals"));
-        }
-        if (const auto c = crash.find("reboot_skew_us"); c != crash.end()) {
-          out.reboot_skew_us = as_uint(c->second, at + ".reboot_skew_us");
-        }
-        spec.faults.relay_crashes.push_back(out);
-      }
-    }
-    if (const auto f = faults.find("partitions"); f != faults.end()) {
-      const JsonArray& partitions = as_array(f->second, "faults.partitions");
-      for (std::size_t i = 0; i < partitions.size(); ++i) {
-        const std::string at = "faults.partitions[" + std::to_string(i) + "]";
-        const JsonObject& partition = as_object(partitions[i], at);
-        reject_unknown_keys(partition,
-                            {"from", "to", "from_interval", "until_interval"},
-                            at);
-        LinkPartitionSpec out;
-        if (const auto p = partition.find("from"); p != partition.end()) {
-          out.from =
-              static_cast<std::uint32_t>(as_uint(p->second, at + ".from"));
-        }
-        if (const auto p = partition.find("to"); p != partition.end()) {
-          out.to = static_cast<std::uint32_t>(as_uint(p->second, at + ".to"));
-        }
-        if (const auto p = partition.find("from_interval");
-            p != partition.end()) {
-          out.from_interval = static_cast<std::uint32_t>(
-              as_uint(p->second, at + ".from_interval"));
-        }
-        if (const auto p = partition.find("until_interval");
-            p != partition.end()) {
-          out.until_interval = static_cast<std::uint32_t>(
-              as_uint(p->second, at + ".until_interval"));
-        }
-        spec.faults.partitions.push_back(out);
-      }
-    }
-    if (const auto f = faults.find("degraded"); f != faults.end()) {
-      const JsonArray& degraded_list = as_array(f->second, "faults.degraded");
-      for (std::size_t i = 0; i < degraded_list.size(); ++i) {
-        const std::string at = "faults.degraded[" + std::to_string(i) + "]";
-        const JsonObject& degraded = as_object(degraded_list[i], at);
-        reject_unknown_keys(degraded, {"node", "budget_mbps"}, at);
-        DegradedRelaySpec out;
-        if (const auto d = degraded.find("node"); d != degraded.end()) {
-          out.node =
-              static_cast<std::uint32_t>(as_uint(d->second, at + ".node"));
-        }
-        if (const auto d = degraded.find("budget_mbps");
-            d != degraded.end()) {
-          out.budget_mbps = as_number(d->second, at + ".budget_mbps");
-        }
-        spec.faults.degraded.push_back(out);
-      }
-    }
-  }
-  if (const auto it = object.find("hop"); it != object.end()) {
-    const JsonObject& hop = as_object(it->second, "hop");
-    reject_unknown_keys(
-        hop, {"loss", "duplicate_probability", "latency_us", "jitter_us"},
-        "hop");
-    if (const auto h = hop.find("loss"); h != hop.end()) {
-      spec.hop.loss = as_number(h->second, "hop.loss");
-    }
-    if (const auto h = hop.find("duplicate_probability"); h != hop.end()) {
-      spec.hop.duplicate_probability =
-          as_number(h->second, "hop.duplicate_probability");
-    }
-    if (const auto h = hop.find("latency_us"); h != hop.end()) {
-      spec.hop.latency_us = as_uint(h->second, "hop.latency_us");
-    }
-    if (const auto h = hop.find("jitter_us"); h != hop.end()) {
-      spec.hop.jitter_us = as_uint(h->second, "hop.jitter_us");
-    }
-  }
-  if (const auto it = object.find("strategy"); it != object.end()) {
-    const JsonObject& strategy = as_object(it->second, "strategy");
-    reject_unknown_keys(strategy, {"adaptive", "sybil", "coop"}, "strategy");
-    if (const auto s = strategy.find("adaptive"); s != strategy.end()) {
-      const JsonObject& adaptive = as_object(s->second, "strategy.adaptive");
-      reject_unknown_keys(adaptive,
-                          {"enabled", "learning_rate", "initial_share",
-                           "reward", "cost"},
-                          "strategy.adaptive");
-      AdaptiveAdversarySpec& out = spec.strategy.adaptive;
-      if (const auto a = adaptive.find("enabled"); a != adaptive.end()) {
-        out.enabled = as_bool(a->second, "strategy.adaptive.enabled");
-      }
-      if (const auto a = adaptive.find("learning_rate");
-          a != adaptive.end()) {
-        out.learning_rate =
-            as_number(a->second, "strategy.adaptive.learning_rate");
-      }
-      if (const auto a = adaptive.find("initial_share");
-          a != adaptive.end()) {
-        out.initial_share =
-            as_number(a->second, "strategy.adaptive.initial_share");
-      }
-      if (const auto a = adaptive.find("reward"); a != adaptive.end()) {
-        out.reward = as_number(a->second, "strategy.adaptive.reward");
-      }
-      if (const auto a = adaptive.find("cost"); a != adaptive.end()) {
-        out.cost = as_number(a->second, "strategy.adaptive.cost");
-      }
-    }
-    if (const auto s = strategy.find("sybil"); s != strategy.end()) {
-      const JsonObject& sybil = as_object(s->second, "strategy.sybil");
-      reject_unknown_keys(sybil, {"enabled", "cohort", "reveal_stagger_us"},
-                          "strategy.sybil");
-      SybilSpec& out = spec.strategy.sybil;
-      if (const auto y = sybil.find("enabled"); y != sybil.end()) {
-        out.enabled = as_bool(y->second, "strategy.sybil.enabled");
-      }
-      if (const auto y = sybil.find("cohort"); y != sybil.end()) {
-        out.cohort = static_cast<std::uint32_t>(
-            as_uint(y->second, "strategy.sybil.cohort"));
-      }
-      if (const auto y = sybil.find("reveal_stagger_us"); y != sybil.end()) {
-        out.reveal_stagger_us =
-            as_uint(y->second, "strategy.sybil.reveal_stagger_us");
-      }
-    }
-    if (const auto s = strategy.find("coop"); s != strategy.end()) {
-      const JsonObject& coop = as_object(s->second, "strategy.coop");
-      reject_unknown_keys(coop, {"enabled", "audit_fraction", "poisoned"},
-                          "strategy.coop");
-      CoopSpec& out = spec.strategy.coop;
-      if (const auto c = coop.find("enabled"); c != coop.end()) {
-        out.enabled = as_bool(c->second, "strategy.coop.enabled");
-      }
-      if (const auto c = coop.find("audit_fraction"); c != coop.end()) {
-        out.audit_fraction =
-            as_number(c->second, "strategy.coop.audit_fraction");
-      }
-      if (const auto c = coop.find("poisoned"); c != coop.end()) {
-        out.poisoned = as_bool(c->second, "strategy.coop.poisoned");
-      }
-    }
-  }
-
+  read_value(JsonParser(json).parse(), "", spec);
   spec.validate();
   return spec;
 }
@@ -791,14 +683,16 @@ void ScenarioSpec::validate() const {
         "ScenarioSpec: interval_us out of range (run would overflow "
         "sim time)");
   }
-  if (forged_fraction < 0.0 || forged_fraction >= 1.0) {
+  // Range checks are written so that NaN fails them.
+  if (!(forged_fraction >= 0.0 && forged_fraction < 1.0)) {
     throw std::invalid_argument(
         "ScenarioSpec: forged_fraction must be in [0, 1)");
   }
-  if (hop.loss < 0.0 || hop.loss >= 1.0) {
+  if (!(hop.loss >= 0.0 && hop.loss < 1.0)) {
     throw std::invalid_argument("ScenarioSpec: hop.loss must be in [0, 1)");
   }
-  if (hop.duplicate_probability < 0.0 || hop.duplicate_probability > 1.0) {
+  if (!(hop.duplicate_probability >= 0.0 &&
+        hop.duplicate_probability <= 1.0)) {
     throw std::invalid_argument(
         "ScenarioSpec: hop.duplicate_probability must be in [0, 1]");
   }
@@ -884,8 +778,8 @@ void ScenarioSpec::validate() const {
       throw std::invalid_argument(
           "ScenarioSpec: strategy.adaptive.learning_rate must be in (0, 1]");
     }
-    if (strategy.adaptive.initial_share <= 0.0 ||
-        strategy.adaptive.initial_share >= 1.0) {
+    if (!(strategy.adaptive.initial_share > 0.0 &&
+          strategy.adaptive.initial_share < 1.0)) {
       throw std::invalid_argument(
           "ScenarioSpec: strategy.adaptive.initial_share must be in (0, 1)");
     }

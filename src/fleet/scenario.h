@@ -5,9 +5,10 @@
 // cohort sizing, traffic length, hop fault model, adversary placement —
 // as one value that round-trips through a small JSON dialect (objects,
 // arrays, strings, numbers, booleans; no nulls, no comments). Benches
-// and tests build specs in code; operators can also load them from a
-// file, and unknown keys are rejected so a typo never silently runs the
-// default scenario.
+// and tests build specs in code; parse() is called by tests and the
+// fuzz_fleet_scenario harness. It rejects unknown keys, so a typo never
+// silently runs the default scenario, and integers wider than their
+// field, so a value never wraps.
 
 #include <cstdint>
 #include <string>
@@ -189,7 +190,8 @@ struct ScenarioSpec {
   /// "tree_d3f4_m1200_p0.5".
   [[nodiscard]] std::string id() const;
 
-  /// Serializes to the JSON dialect parse() accepts (round-trips).
+  /// Serializes to the JSON dialect parse() accepts (round-trips: each
+  /// double is written with the fewest digits that read back exactly).
   [[nodiscard]] std::string to_json() const;
 
   /// Parses a spec; throws std::invalid_argument on malformed JSON,

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -300,6 +302,19 @@ TEST(Scenario, ValidateRejectsBadGuardAndFaults) {
                  s.faults.degraded.push_back({1, 0.0});
                }).validate(),
                std::invalid_argument);
+  // NaN fails every range check (it compares false against any bound).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(with([nan](fleet::ScenarioSpec& s) {
+                 s.forged_fraction = nan;
+               }).validate(),
+               std::invalid_argument);
+  EXPECT_THROW(with([nan](fleet::ScenarioSpec& s) { s.hop.loss = nan; })
+                   .validate(),
+               std::invalid_argument);
+  EXPECT_THROW(with([nan](fleet::ScenarioSpec& s) {
+                 s.hop.duplicate_probability = nan;
+               }).validate(),
+               std::invalid_argument);
   EXPECT_NO_THROW(with([](fleet::ScenarioSpec& s) {
                     s.faults.relay_crashes.push_back({1, 1, 1, 0});
                     s.faults.partitions.push_back({0, 1, 1, 2});
@@ -323,13 +338,35 @@ TEST(Scenario, ParseEnforcesResourceCeilings) {
                    "{\"topology\": {\"kind\": \"flood\"}, "
                    "\"members_per_cohort\": 999999999999}"),
                std::invalid_argument);
-  // Integers beyond 2^53 are not exactly representable in the JSON
-  // number model: rejected instead of silently rounded (or worse, UB on
-  // the double -> uint64 cast).
+  // Integers beyond 2^64 fit no field: rejected as too large instead of
+  // silently rounded (or worse, UB on the double -> uint64 cast).
   EXPECT_THROW(fleet::ScenarioSpec::parse(
                    "{\"topology\": {\"kind\": \"flood\"}, "
                    "\"seed\": 99999999999999999999}"),
                std::invalid_argument);
+  // A value wider than its uint32 field is rejected, never wrapped
+  // (4294967300 would otherwise run 4 receivers).
+  const auto expect_too_large = [](const std::string& json,
+                                   const std::string& path) {
+    try {
+      (void)fleet::ScenarioSpec::parse(json);
+      ADD_FAILURE() << "accepted " << json;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(path + " is too large"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_too_large(
+      "{\"topology\": {\"kind\": \"flood\", \"receivers\": 4294967300}}",
+      "topology.receivers");
+  expect_too_large(
+      "{\"topology\": {\"kind\": \"flood\"}, \"intervals\": 4294967297}",
+      "intervals");
+  expect_too_large(
+      "{\"topology\": {\"kind\": \"tree\", \"depth\": 1, \"fanout\": 2}, "
+      "\"faults\": {\"relay_crashes\": [{\"node\": 4294967297}]}}",
+      "faults.relay_crashes[0].node");
   // Unknown keys inside the nested blocks are rejected too.
   EXPECT_THROW(fleet::ScenarioSpec::parse(
                    "{\"topology\": {\"kind\": \"flood\"}, "
@@ -340,6 +377,49 @@ TEST(Scenario, ParseEnforcesResourceCeilings) {
                    "\"faults\": {\"relay_crashes\": [{\"node\": 1, "
                    "\"typo\": 2}]}}"),
                std::invalid_argument);
+}
+
+TEST(Scenario, IntegersParseExactlyUpToSixtyFourBits) {
+  // Every 64-bit seed round-trips through the JSON form.
+  fleet::ScenarioSpec spec = sample_spec();
+  spec.seed = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(fleet::ScenarioSpec::parse(spec.to_json()).seed, spec.seed);
+  // 2^53 + 1 has no double: it must not be rounded to 2^53.
+  EXPECT_EQ(fleet::ScenarioSpec::parse(
+                "{\"topology\": {\"kind\": \"flood\"}, "
+                "\"seed\": 9007199254740993}")
+                .seed,
+            9007199254740993ULL);
+  // 2^64 is one past the widest field.
+  EXPECT_THROW(fleet::ScenarioSpec::parse(
+                   "{\"topology\": {\"kind\": \"flood\"}, "
+                   "\"seed\": 18446744073709551616}"),
+               std::invalid_argument);
+}
+
+TEST(Scenario, DoublesRoundTripExactly) {
+  for (const double v : {1.0 / 3.0, 0.1234567, 1e-7}) {
+    fleet::ScenarioSpec spec = sample_spec();
+    spec.forged_fraction = v;
+    spec.hop.loss = v;
+    spec.hop.duplicate_probability = v;
+    spec.guard.budget_mbps = v;
+    spec.guard.burst_bits = v;
+    const fleet::ScenarioSpec parsed =
+        fleet::ScenarioSpec::parse(spec.to_json());
+    EXPECT_EQ(parsed.forged_fraction, v);
+    EXPECT_EQ(parsed.hop.loss, v);
+    EXPECT_EQ(parsed.hop.duplicate_probability, v);
+    EXPECT_EQ(parsed.guard.budget_mbps, v);
+    EXPECT_EQ(parsed.guard.burst_bits, v);
+    EXPECT_EQ(parsed.to_json(), spec.to_json());
+  }
+  // The shortest digit count that reads back exactly is emitted.
+  fleet::ScenarioSpec third = sample_spec();
+  third.forged_fraction = 1.0 / 3.0;
+  EXPECT_NE(third.to_json().find("\"forged_fraction\": 0.3333333333333333,"),
+            std::string::npos)
+      << third.to_json();
 }
 
 // --------------------------------------------------------------- cohorts

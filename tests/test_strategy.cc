@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -255,6 +256,13 @@ TEST(Strategy, UnknownStrategyKeysAreRejectedWithTheirPath) {
 TEST(Strategy, ValidateRejectsAdaptiveWithoutFlood) {
   auto spec = tree_spec();
   spec.forged_fraction = 0.0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  // NaN is not a flood intensity, and not an initial share either.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  spec.forged_fraction = nan;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = tree_spec();
+  spec.strategy.adaptive.initial_share = nan;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
