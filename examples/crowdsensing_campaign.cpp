@@ -9,7 +9,6 @@
 //
 //   ./build/examples/crowdsensing_campaign [p=0.8] [m=6] [nodes=20]
 
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "dap/dap.h"
+#include "game/bandwidth.h"
 #include "sim/adversary.h"
 #include "sim/channel.h"
 #include "sim/event_queue.h"
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     auth_rate.add(static_cast<double>(node.authenticated) / intervals);
     memory_bits.add(static_cast<double>(node.receiver.stored_record_bits()));
   }
-  const double analytic_defense = 1.0 - std::pow(p, static_cast<double>(m));
+  const double analytic_defense = game::defense_success(p, m);
   const std::size_t announce_bits = wire::wire_bits(
       wire::Packet{attacker.forge(1)});
   const double attacker_share =
@@ -124,6 +124,7 @@ int main(int argc, char** argv) {
             << "% of medium bits)\n"
             << "residual buffered records per node (bits): mean "
             << common::format_number(memory_bits.mean()) << '\n';
-  std::cout << "\nmedium counters:\n" << medium.metrics().report();
+  std::cout << "\nmedium counters:\n"
+            << medium.metrics().report(/*skip_zero_counters=*/true);
   return 0;
 }

@@ -35,8 +35,8 @@ int main() {
   // --- The sender derives its one-way key chain from a secret seed.
   protocol::DapSender sender(config, common::bytes_of("demo-seed"));
 
-  // --- The receiver is bootstrapped with the authenticated commitment
-  //     K_0 (in deployment: via the WOTS-signed bootstrap packet) and a
+  // --- The receiver is bootstrapped with the authentic commitment K_0
+  //     (distributed out-of-band, e.g. pre-installed on the node) and a
   //     private local key K_recv for its μMAC records.
   protocol::DapReceiver receiver(config, sender.chain().commitment(),
                                  common::bytes_of("receiver-private-key"),

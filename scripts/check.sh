@@ -2,11 +2,11 @@
 # Full local check: tier-1 build + test suite (including the lint and
 # fuzz-corpus-replay ctest entries), an explicit static-analysis stage
 # (repo lint, thread-safety gate, fuzz-corpus drift check, run-clang-tidy
-# when installed), then the ENTIRE ctest suite again under
-# AddressSanitizer + UBSan with contracts at the fatal level.
+# when installed), the reachability gate, then the ENTIRE ctest suite
+# again under AddressSanitizer + UBSan with contracts at the fatal level.
 #
 #   scripts/check.sh            # everything
-#   scripts/check.sh --fast     # tier-1 only, skip the sanitizer pass
+#   scripts/check.sh --fast     # skip the reachability and sanitizer passes
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,9 +62,13 @@ else
 fi
 
 if [[ "$FAST" == 1 ]]; then
-  echo "== skipping sanitizer pass (--fast) =="
+  echo "== skipping reachability gate and sanitizer pass (--fast) =="
   exit 0
 fi
+
+echo "== reachability: every library function shipped or allowlisted =="
+# Own -O0 build in build-reach/ (same gate as CI's reachability job).
+python3 scripts/reachability.py
 
 echo "== sanitizers: ASan+UBSan build, full ctest suite, contracts fatal =="
 cmake -B build-asan -S . "${GEN[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -4,8 +4,8 @@
 The wire-decode seeds mirror src/common/codec.h's little-endian format
 (u8 tag, u32 sender, then per-kind fields; blobs are u16-length-prefixed)
 so every packet kind is represented by a structurally valid encoding,
-plus a few malformed shapes (truncated, unknown tag, oversized length
-prefix) that exercise the rejection paths. The receiver-harness seeds
+plus a few malformed shapes (truncated, unknown or retired tag,
+oversized length prefix) that exercise the rejection paths. The receiver-harness seeds
 are op-streams for the ByteStream interpreters in fuzz_dap_receiver.cc /
 fuzz_teslapp_receiver.cc: announce/forge/reveal interleavings with time
 skips, reordered/duplicated deliveries, and pool-saturation floods. The
@@ -59,6 +59,8 @@ def message_reveal(sender=3, interval=9, message=b"reading=42",
     return u8(3) + u32(sender) + u32(interval) + blob(message) + blob(key)
 
 
+# Tags 4 (μTESLA key disclosure) and 6 (signed bootstrap) are retired:
+# their former encodings stay in the corpus as unknown-tag rejections.
 def key_disclosure(sender=1, interval=5, key=b"\x77" * 10):
     return u8(4) + u32(sender) + u32(interval) + blob(key)
 
@@ -87,13 +89,6 @@ def framed(payload):
     return payload + u32(crc32(payload))
 
 
-def wots_signature(chains):
-    out = u16(len(chains))
-    for chain in chains:
-        out += blob(chain)
-    return out
-
-
 WIRE_SEEDS = {
     "tesla_packet": tesla_packet(),
     "mac_announce": mac_announce(),
@@ -104,7 +99,6 @@ WIRE_SEEDS = {
     "empty_fields": tesla_packet(message=b"", mac=b"", disclosed_key=b""),
     "framed_announce": framed(mac_announce()),
     "framed_tesla": framed(tesla_packet()),
-    "wots_sig": wots_signature([b"\x01" * 32, b"\x02" * 32, b"\x03" * 32]),
     "truncated_tesla": tesla_packet()[:-3],
     "unknown_tag": u8(0xEE) + u32(1),
     "oversized_length_prefix": u8(2) + u32(1) + u32(9) + u16(0xFFFF) + b"xx",
@@ -162,15 +156,12 @@ def teslapp_seeds():
     reveal = op(2, 3)
     forge_announce = op(1, 3, b"\x99" * 10)
     forge_reveal = op(3, 3, u8(4), b"fake", b"\x00" * 10)
-    anchor_ok = op(4, 3, u8(1))
-    anchor_mut = op(4, 3, u8(0), u8(2), u8(5))
-    skip_time = op(5, 1, u8(180))
-    defer = op(6, 3, u8(6), b"offset")
-    deliver_deferred = op(7, 0)
+    skip_time = op(4, 1, u8(180))
+    defer = op(5, 3, u8(6), b"offset")
+    deliver_deferred = op(6, 0)
     return {
         "announce_reveal": prefix + announce + skip_time + reveal,
         "record_cap_flood": prefix + forge_announce * 10 + announce + reveal,
-        "anchors": prefix + anchor_ok + anchor_mut + announce + reveal,
         "forged_reveal": prefix + announce + forge_reveal + reveal,
         "reordered": prefix + defer + announce + deliver_deferred +
                      skip_time + reveal,

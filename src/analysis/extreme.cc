@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/parallel.h"
+#include "game/bandwidth.h"
 #include "sim/adversary.h"
 
 namespace dap::analysis {
@@ -114,10 +115,9 @@ std::vector<ExtremeCell> extreme_conditions_grid(
       cell.p = p;
       cell.measured_success = static_cast<double>(successes[cell_index]) /
                               static_cast<double>(config.trials);
-      const double m = static_cast<double>(config.m);
       cell.analytic =
           (1.0 - std::pow(loss, static_cast<double>(config.announce_copies))) *
-          (1.0 - std::pow(p, m)) *
+          game::defense_success(p, config.m) *
           (1.0 - std::pow(loss, static_cast<double>(config.reveal_copies)));
       grid.push_back(cell);
       ++cell_index;

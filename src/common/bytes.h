@@ -39,7 +39,4 @@ bool equal(ByteView a, ByteView b);
 /// Use for all MAC/tag comparisons so forgery attempts cannot use timing.
 bool constant_time_equal(ByteView a, ByteView b);
 
-/// First `n` bytes of `data` as a fresh buffer; throws if n > data.size().
-Bytes take_prefix(ByteView data, std::size_t n);
-
 }  // namespace dap::common

@@ -65,15 +65,6 @@ common::Bytes KeyChain::step(common::ByteView k) const {
   return prf_bytes(domain_, k, key_size_);
 }
 
-bool KeyChain::verify_key(std::size_t index, common::ByteView candidate,
-                          std::size_t anchor_index,
-                          common::ByteView anchor_key) const {
-  if (anchor_index >= index) return false;
-  const common::Bytes walked =
-      chain_walk(domain_, candidate, index - anchor_index, key_size_);
-  return common::constant_time_equal(walked, anchor_key);
-}
-
 common::Bytes chain_walk(PrfDomain domain, common::ByteView key,
                          std::size_t steps, std::size_t key_size) {
   const KeyChainTelemetry& telemetry = keychain_telemetry();

@@ -57,15 +57,6 @@ class KeyChain {
   /// One chain step: F(k) truncated to key_size.
   [[nodiscard]] common::Bytes step(common::ByteView k) const;
 
-  /// Authenticates `candidate` as K_index against a known-authentic
-  /// (anchor_index, anchor_key) with anchor_index < index: walks
-  /// index - anchor_index steps of F and compares. This is exactly the
-  /// receiver-side "weak authentication" of disclosed keys.
-  [[nodiscard]] bool verify_key(std::size_t index,
-                                common::ByteView candidate,
-                                std::size_t anchor_index,
-                                common::ByteView anchor_key) const;
-
  private:
   PrfDomain domain_;
   std::size_t key_size_;

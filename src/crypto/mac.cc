@@ -43,11 +43,4 @@ common::Bytes micro_mac(const HmacKey& recv_key, common::ByteView mac,
   return compute_mac(recv_key, mac, size);
 }
 
-bool verify_mac(const HmacKey& key, common::ByteView message,
-                common::ByteView tag) {
-  if (tag.empty() || tag.size() > kSha256DigestSize) return false;
-  const common::Bytes expect = compute_mac(key, message, tag.size());
-  return common::constant_time_equal(expect, tag);
-}
-
 }  // namespace dap::crypto

@@ -44,8 +44,6 @@ common::Bytes compute_mac(const HmacKey& key, common::ByteView message,
                           std::size_t size = kMacSize);
 common::Bytes micro_mac(const HmacKey& recv_key, common::ByteView mac,
                         std::size_t size = kMicroMacSize);
-bool verify_mac(const HmacKey& key, common::ByteView message,
-                common::ByteView tag);
 
 /// Bits of storage DAP uses per buffered record (μMAC + index).
 [[nodiscard]] constexpr std::size_t dap_record_bits(

@@ -32,7 +32,6 @@
 #include "sim/clock_model.h"
 #include "tesla/chain_auth.h"
 #include "tesla/resync.h"
-#include "tesla/tesla.h"
 #include "tesla/verdict.h"
 #include "wire/packet.h"
 

@@ -603,7 +603,6 @@ void FleetSim::flush_live_telemetry() {
   flushed_.announces_in_by_depth.resize(max_depth + 1, 0);
   flushed_.member_auth_by_depth.resize(max_depth + 1, 0);
   flushed_.sentinel_auth_by_depth.resize(max_depth + 1, 0);
-  flushed_.hop_latency_flushed.resize(max_depth + 1, 0);
   flushed_.guard_evicted_by_depth.resize(max_depth + 1, 0);
   flushed_.guard_shed_by_depth.resize(max_depth + 1, 0);
   for (std::uint32_t d = 1; d <= max_depth; ++d) {
@@ -618,12 +617,13 @@ void FleetSim::flush_live_telemetry() {
                   flushed_.member_auth_by_depth[d]);
     flush_counter(prefix + "sentinel_auths", sentinel_auth_by_depth_[d],
                   flushed_.sentinel_auth_by_depth[d]);
-    std::size_t& consumed = flushed_.hop_latency_flushed[d];
-    if (consumed < hop_latency_by_depth_[d].size()) {
+    // Samples since the last flush move into the histogram and are
+    // dropped here, so the buffer holds one drain sweep's arrivals.
+    std::vector<double>& hop_latency = hop_latency_by_depth_[d];
+    if (!hop_latency.empty()) {
       const auto hist = reg.histogram(prefix + "hop_latency_us");
-      for (; consumed < hop_latency_by_depth_[d].size(); ++consumed) {
-        reg.observe(hist, hop_latency_by_depth_[d][consumed]);
-      }
+      for (const double us : hop_latency) reg.observe(hist, us);
+      hop_latency.clear();
     }
   }
 }

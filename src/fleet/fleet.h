@@ -236,6 +236,8 @@ class FleetSim {
   /// output-adjacent state must be deterministic by construction.
   std::map<std::uint64_t, sim::SimTime> announce_sent_at_;
   std::vector<std::uint64_t> announces_in_by_depth_;
+  /// Per-depth hop latencies of authentic announce arrivals since the
+  /// last flush_live_telemetry(), which moves them into the registry.
   std::vector<std::vector<double>> hop_latency_by_depth_;
 
   FleetReport report_;
@@ -285,7 +287,6 @@ class FleetSim {
     std::vector<std::uint64_t> announces_in_by_depth;
     std::vector<std::uint64_t> member_auth_by_depth;
     std::vector<std::uint64_t> sentinel_auth_by_depth;
-    std::vector<std::size_t> hop_latency_flushed;  // samples consumed
   };
   FlushState flushed_;
 };

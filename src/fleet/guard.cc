@@ -82,17 +82,6 @@ void IngressGuard::reset(sim::SimTime now) {
   rebuild_bucket(now);
 }
 
-void IngressGuard::set_budget(double budget_mbps, double burst_bits,
-                              sim::SimTime now) {
-  DAP_REQUIRE(std::isfinite(budget_mbps) && budget_mbps >= 0.0,
-              "IngressGuard::set_budget: budget_mbps must be >= 0");
-  DAP_REQUIRE(std::isfinite(burst_bits),
-              "IngressGuard::set_budget: burst_bits must be finite");
-  config_.budget_mbps = budget_mbps;
-  config_.burst_bits = burst_bits;
-  rebuild_bucket(now);
-}
-
 void IngressGuard::rebuild_bucket(sim::SimTime now) {
   bucket_.reset();
   if (config_.budget_mbps <= 0.0) return;

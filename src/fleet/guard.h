@@ -81,10 +81,6 @@ class IngressGuard {
   /// a restarted relay remembers nothing and starts with a full budget.
   void reset(sim::SimTime now);
 
-  /// Replaces the bandwidth budget (degraded-relay fault injection).
-  /// Same contracts as the constructor; the bucket restarts full.
-  void set_budget(double budget_mbps, double burst_bits, sim::SimTime now);
-
   [[nodiscard]] const GuardStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t capacity() const noexcept {
     return slots_.size();

@@ -78,8 +78,7 @@ class LatencyHistogram {
   [[nodiscard]] double sum() const noexcept { return sum_; }
   [[nodiscard]] double min() const noexcept { return moments_.min(); }
   [[nodiscard]] double max() const noexcept { return moments_.max(); }
-  /// Exact streaming moments (Welford), shared with sim::Metrics so its
-  /// report() output is unchanged.
+  /// Exact streaming moments (Welford), printed by Registry::report().
   [[nodiscard]] const common::RunningStats& moments() const noexcept {
     return moments_;
   }
@@ -110,12 +109,11 @@ class LatencyHistogram {
 class Registry {
  public:
   Registry();
-  /// Copies and moves carry the instruments but the destination gets a
-  /// fresh uid: it is a new registry as far as cached handles go.
-  Registry(const Registry& other);
-  Registry& operator=(const Registry& other);
-  Registry(Registry&& other) noexcept;
-  Registry& operator=(Registry&& other) noexcept;
+  /// Not copyable or movable: cached handles key on the instance's uid.
+  Registry(const Registry&) = delete;
+  Registry& operator=(const Registry&) = delete;
+  Registry(Registry&&) = delete;
+  Registry& operator=(Registry&&) = delete;
   ~Registry() = default;
 
   // ---- Registration (idempotent: re-registering a name returns the
@@ -160,8 +158,6 @@ class Registry {
   [[nodiscard]] const double* find_gauge(std::string_view name) const;
   [[nodiscard]] const LatencyHistogram* find_histogram(
       std::string_view name) const;
-  [[nodiscard]] const common::RateEstimator* find_rate(
-      std::string_view name) const;
 
   /// (name, slot) pairs per instrument type, sorted by name — the
   /// iteration order of reports and exports.
@@ -179,11 +175,10 @@ class Registry {
            rates_.size();
   }
 
-  /// Renders counters/rates/histogram-moments as the aligned text block
-  /// sim::Metrics::report() has always produced (byte-compatible).
-  /// `skip_zero_counters` drops counters that were never incremented —
-  /// components that pre-register handles at construction would otherwise
-  /// print "= 0" lines the lazily-registering legacy Metrics never had.
+  /// Renders counters/rates/histogram-moments as an aligned text block.
+  /// `skip_zero_counters` drops counters that were never incremented, so
+  /// components that pre-register handles at construction (sim::Medium)
+  /// print only the counters that moved.
   [[nodiscard]] std::string report(bool skip_zero_counters = false) const;
 
   /// Folds `other` into this registry by *name* (slot indices may differ
@@ -201,14 +196,10 @@ class Registry {
   void merge_from(const Registry& other);
 
   /// Identifier distinguishing registry *instances* (never 0, never
-  /// reused, survives clear()). Cached-handle holders key their caches on
-  /// this so a handle resolved against one registry is never used to
-  /// index another — see PerRegistryCache.
+  /// reused). Cached-handle holders key their caches on this so a handle
+  /// resolved against one registry is never used to index another — see
+  /// PerRegistryCache.
   [[nodiscard]] std::uint64_t uid() const noexcept { return uid_; }
-
-  /// Drops every instrument and name. Handles become invalid; intended
-  /// for tests and multi-phase benches that snapshot between phases.
-  void clear() noexcept;
 
   /// The process-wide registry protocol instrumentation feeds — unless
   /// the calling thread has a shard override installed, in which case

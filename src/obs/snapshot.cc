@@ -79,8 +79,4 @@ std::string Snapshotter::stream() const {
   return out.str();
 }
 
-void Snapshotter::write(std::ostream& out) const {
-  out << stream();
-}
-
 }  // namespace dap::obs

@@ -54,9 +54,6 @@ class Snapshotter {
   /// The full JSONL stream (header + one line per sample).
   [[nodiscard]] std::string stream() const;
 
-  /// Writes the stream to `out`.
-  void write(std::ostream& out) const;
-
  private:
   std::string label_;
   std::uint64_t cadence_ = 1;

@@ -68,7 +68,7 @@ Tracer::Tracer(std::size_t capacity) {
 }
 
 void Tracer::set_capacity(std::size_t capacity) {
-  if (total_ != 0 || span_total_ != 0 || !open_spans_.empty()) {
+  if (total_ != 0 || span_total_ != 0) {
     throw std::logic_error(
         "Tracer::set_capacity: tracer must be empty (clear() first)");
   }
@@ -115,26 +115,6 @@ void Tracer::record_span(const SpanEvent& span) noexcept {
     span_ring_[span_total_ % capacity_] = span;
   }
   ++span_total_;
-}
-
-void Tracer::span_begin(const SpanEvent& span) {
-  if (!enabled_) return;
-  open_spans_.push_back(span);
-}
-
-void Tracer::span_end(std::uint64_t uid, std::uint64_t t_end,
-                      SpanTag tag) noexcept {
-  if (!enabled_) return;
-  for (std::size_t i = 0; i < open_spans_.size(); ++i) {
-    if (open_spans_[i].uid != uid) continue;
-    SpanEvent span = open_spans_[i];
-    span.t_end = t_end;
-    span.tag = tag;
-    open_spans_.erase(open_spans_.begin() +
-                      static_cast<std::ptrdiff_t>(i));
-    record_span(span);
-    return;
-  }
 }
 
 std::size_t Tracer::span_size() const noexcept {
@@ -228,7 +208,6 @@ void Tracer::clear() noexcept {
   span_ring_.clear();
   total_ = 0;
   span_total_ = 0;
-  open_spans_.clear();
 }
 
 void Tracer::append_from(const Tracer& other) {

@@ -2,7 +2,7 @@
 // Scripted fault injection for the simulation layer.
 //
 // The channel models in channel.h cover steady-state pathology (loss,
-// burstiness, bit errors). This header covers *scheduled* pathology — the
+// burstiness). This header covers *scheduled* pathology — the
 // fault classes a deployment implies but a Bernoulli coin never produces:
 // delay jitter (which reorders frames through the event queue), frame
 // duplication, total link blackouts, and receiver clock drift/steps.
@@ -33,10 +33,6 @@ class FaultSchedule {
   void add_window(SimTime start, SimTime end);
 
   [[nodiscard]] bool active(SimTime now) const noexcept;
-
-  /// End of the last scheduled window (0 when empty). After this instant
-  /// the fault never fires again — reconvergence clocks start here.
-  [[nodiscard]] SimTime last_clear() const noexcept;
 
   [[nodiscard]] std::size_t windows() const noexcept {
     return windows_.size();
@@ -112,7 +108,6 @@ class DuplicateChannel final : public Channel {
                    const EventQueue* clock = nullptr);
   bool deliver(common::Rng& rng) override;
   std::size_t deliveries(common::Rng& rng) override;
-  void corrupt(common::Bytes& frame, common::Rng& rng) override;
   [[nodiscard]] std::unique_ptr<Channel> clone() const override;
 
  private:
@@ -133,7 +128,6 @@ class BlackoutChannel final : public Channel {
                   const EventQueue& clock);
   bool deliver(common::Rng& rng) override;
   std::size_t deliveries(common::Rng& rng) override;
-  void corrupt(common::Bytes& frame, common::Rng& rng) override;
   [[nodiscard]] std::unique_ptr<Channel> clone() const override;
 
  private:

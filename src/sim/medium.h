@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/registry.h"
 #include "sim/channel.h"
 #include "sim/event_queue.h"
 #include "sim/faults.h"
-#include "sim/metrics.h"
 #include "sim/shaper.h"
 #include "wire/frame.h"
 #include "wire/packet.h"
@@ -69,8 +69,11 @@ class Medium {
   }
   [[nodiscard]] std::size_t links() const noexcept { return links_.size(); }
 
-  [[nodiscard]] Metrics& metrics() noexcept { return metrics_; }
-  [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
+  /// The medium's own counters (medium.broadcasts, medium.frames_lost,
+  /// ...), kept apart from the process-wide registry.
+  [[nodiscard]] const obs::Registry& metrics() const noexcept {
+    return registry_;
+  }
 
   /// Extra frame copies produced by duplicating channels so far.
   [[nodiscard]] std::uint64_t duplicated_frames() const noexcept {
@@ -93,7 +96,7 @@ class Medium {
   std::uint64_t duplicated_frames_ = 0;
   std::map<wire::NodeId, TokenBucket> rate_limits_;
   std::map<wire::NodeId, std::uint64_t> rate_limited_;
-  Metrics metrics_;
+  obs::Registry registry_;
   // Registry handles cached at construction (per-frame path).
   obs::CounterHandle ctr_rate_limited_;
   obs::CounterHandle ctr_broadcasts_;

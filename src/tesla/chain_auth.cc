@@ -31,12 +31,12 @@ ChainAuthenticator::ChainAuthenticator(crypto::PrfDomain domain,
 bool ChainAuthenticator::accept(std::uint32_t i, common::ByteView key) {
   // rejected_ counts reveals *proven* inconsistent with the chain, on
   // every mismatch path (anchor, below-anchor, above-anchor walk).
-  // Malformed (empty) keys and pruned indices return false uncounted:
+  // Malformed (empty) keys and rebased-away indices return false uncounted:
   // neither is evidence of forgery — one is a framing error, the other
   // is unverifiable, exactly as a cache miss was before checkpointing.
   if (key.empty()) return false;
   if (i == anchor_index_) {
-    // The anchor survives any prune, so it always verifies directly.
+    // The anchor survives any rebase, so it always verifies directly.
     if (!common::constant_time_equal(anchor_key_, key)) {
       ++rejected_;
       return false;
@@ -114,15 +114,6 @@ void ChainAuthenticator::rebase_to_newest() {
   known_.clear();
   known_[anchor_index_] = anchor_key_;
   floor_index_ = anchor_index_;
-}
-
-void ChainAuthenticator::prune_below(std::uint32_t floor) {
-  if (floor > floor_index_) floor_index_ = floor;
-  auto it = known_.begin();
-  while (it != known_.end() && it->first < floor) {
-    if (it->first == anchor_index_) break;
-    it = known_.erase(it);
-  }
 }
 
 }  // namespace dap::tesla

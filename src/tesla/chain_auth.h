@@ -40,7 +40,7 @@ class ChainAuthenticator {
   bool accept(std::uint32_t i, common::ByteView key);
 
   /// Authentic key K_i if derivable (i within [floor, anchor], i.e. not
-  /// pruned/rebased away); derived from the nearest checkpoint at or
+  /// rebased away); derived from the nearest checkpoint at or
   /// above i in at most `checkpoint_stride` hashes.
   [[nodiscard]] std::optional<common::Bytes> key(std::uint32_t i) const;
 
@@ -56,7 +56,7 @@ class ChainAuthenticator {
   [[nodiscard]] std::uint64_t accepted() const noexcept { return accepted_; }
   /// Reveals proven inconsistent with the chain (any mismatch path:
   /// anchor compare, below-anchor re-derivation, above-anchor walk).
-  /// Empty keys and pruned indices are unverifiable, not rejected.
+  /// Empty keys and rebased-away indices are unverifiable, not rejected.
   [[nodiscard]] std::uint64_t rejected() const noexcept { return rejected_; }
 
   [[nodiscard]] std::uint32_t checkpoint_stride() const noexcept {
@@ -71,10 +71,6 @@ class ChainAuthenticator {
   [[nodiscard]] std::uint64_t walk_steps() const noexcept {
     return walk_steps_;
   }
-
-  /// Drops derivability of keys with index < `floor` (memory hygiene for
-  /// long-running receivers); the anchor itself is always kept.
-  void prune_below(std::uint32_t floor);
 
   /// Collapses state to the newest authenticated key — the persistent
   /// anchor a crash/restart keeps. All checkpoints are dropped, so
@@ -93,7 +89,7 @@ class ChainAuthenticator {
   std::size_t key_size_;
   std::uint32_t stride_;
   std::uint32_t anchor_index_;
-  /// Lowest index still derivable; raised by prune_below/rebase.
+  /// Lowest index still derivable; raised by rebase_to_newest().
   std::uint32_t floor_index_;
   common::Bytes anchor_key_;
   /// Sparse checkpoint cache: every stride-th index plus accepted tops

@@ -9,43 +9,11 @@
 
 namespace dap::tesla {
 
-namespace {
-constexpr unsigned kAnchorMerkleHeight = 4;  // 16 anchors per sender
-
-common::Bytes anchor_signing_seed(common::ByteView seed) {
-  return crypto::prf_bytes(
-      crypto::PrfDomain::kReceiverLocal,
-      common::concat({seed, common::bytes_of("/anchor-sign")}));
-}
-}  // namespace
-
-common::Bytes anchor_payload(const SignedAnchor& anchor) {
-  common::Writer w;
-  w.u32(anchor.interval);
-  w.blob(anchor.key);
-  return std::move(w).take();
-}
-
 TeslaPpSender::TeslaPpSender(const TeslaPpConfig& config,
                              common::ByteView seed)
     : config_(config),
       chain_(seed, config.chain_length, crypto::PrfDomain::kChainStep,
-             config.key_size),
-      signer_(anchor_signing_seed(seed), kAnchorMerkleHeight) {}
-
-SignedAnchor TeslaPpSender::make_anchor(std::uint32_t i) {
-  SignedAnchor anchor;
-  anchor.interval = i;
-  anchor.key = chain_.key(i);  // throws for out-of-range i
-  anchor.signature = signer_.sign(anchor_payload(anchor));
-  return anchor;
-}
-
-bool verify_anchor(const SignedAnchor& anchor, common::ByteView root,
-                   unsigned merkle_height) {
-  return crypto::merkle_verify(root, anchor_payload(anchor),
-                               anchor.signature, merkle_height);
-}
+             config.key_size) {}
 
 wire::MacAnnounce TeslaPpSender::announce(std::uint32_t i,
                                           common::ByteView message) {
@@ -73,13 +41,6 @@ wire::MessageReveal TeslaPpSender::reveal(std::uint32_t i) const {
   return p;
 }
 
-TeslaPpReceiver::TeslaPpReceiver(const TeslaPpConfig& config,
-                                 common::Bytes commitment,
-                                 common::Bytes local_secret,
-                                 sim::LooseClock clock)
-    : TeslaPpReceiver(config, std::move(commitment), 0,
-                      std::move(local_secret), clock) {}
-
 TeslaPpReceiver::Telemetry TeslaPpReceiver::make_telemetry() {
   auto& reg = obs::Registry::global();
   return {
@@ -94,16 +55,13 @@ TeslaPpReceiver::Telemetry TeslaPpReceiver::make_telemetry() {
       reg.counter("teslapp.admissions_shed"),
       reg.counter("teslapp.crash_restarts"),
       reg.counter("teslapp.mac_key_derivations"),
-      reg.counter("teslapp.reveal_batches"),
-      reg.counter("teslapp.batched_reveals"),
       reg.histogram("teslapp.rx_announce_us"),
       reg.histogram("teslapp.rx_reveal_us"),
   };
 }
 
 TeslaPpReceiver::TeslaPpReceiver(const TeslaPpConfig& config,
-                                 common::Bytes anchor_key,
-                                 std::uint32_t anchor_index,
+                                 common::Bytes commitment,
                                  common::Bytes local_secret,
                                  sim::LooseClock clock)
     : config_(config),
@@ -111,19 +69,11 @@ TeslaPpReceiver::TeslaPpReceiver(const TeslaPpConfig& config,
       local_secret_(std::move(local_secret)),
       clock_(clock),
       auth_(crypto::PrfDomain::kChainStep, config.key_size,
-            std::move(anchor_key), anchor_index),
+            std::move(commitment), 0),
       resync_("teslapp", config.resync) {
   if (local_secret_.empty()) {
     throw std::invalid_argument("TeslaPpReceiver: empty local secret");
   }
-}
-
-TeslaPpReceiver TeslaPpReceiver::from_anchor(const TeslaPpConfig& config,
-                                             const SignedAnchor& anchor,
-                                             common::Bytes local_secret,
-                                             sim::LooseClock clock) {
-  return TeslaPpReceiver(config, anchor.key, anchor.interval,
-                         std::move(local_secret), clock);
 }
 
 common::Bytes TeslaPpReceiver::self_mac(std::uint32_t interval,
@@ -163,7 +113,6 @@ void TeslaPpReceiver::tick(sim::SimTime local_now) {
 
 void TeslaPpReceiver::crash_restart(sim::SimTime /*local_now*/) {
   records_.clear();
-  pending_.clear();
   auth_.rebase_to_newest();
   calibration_.reset();
   resync_.invalidate();
@@ -225,40 +174,11 @@ std::vector<AuthenticatedMessage> TeslaPpReceiver::receive(
     const wire::MessageReveal& packet, sim::SimTime local_now) {
   DAP_REQUIRE(config_.self_mac_size > 0,
               "TeslaPpReceiver::receive: receiver must be configured");
-  return process_reveal(packet, local_now, nullptr);
-}
-
-void TeslaPpReceiver::enqueue(const wire::MessageReveal& packet) {
-  pending_.push_back(packet);
-}
-
-std::vector<std::vector<AuthenticatedMessage>>
-TeslaPpReceiver::drain_pending_batch(sim::SimTime local_now) {
-  std::vector<std::vector<AuthenticatedMessage>> out;
-  out.reserve(pending_.size());
-  if (pending_.empty()) return out;
-  auto& reg = obs::Registry::global();
-  reg.add(telemetry_.reveal_batches);
-  reg.add(telemetry_.batched_reveals, pending_.size());
-  BatchContext batch;
-  while (!pending_.empty()) {
-    const wire::MessageReveal packet = std::move(pending_.front());
-    pending_.pop_front();
-    out.push_back(process_reveal(packet, local_now, &batch));
-  }
-  return out;
-}
-
-std::vector<AuthenticatedMessage> TeslaPpReceiver::process_reveal(
-    const wire::MessageReveal& packet, sim::SimTime local_now,
-    BatchContext* batch) {
   auto& reg = obs::Registry::global();
   const obs::ScopedTimer timer(reg, telemetry_.rx_reveal_latency);
   tick(local_now);
   ++stats_.reveals_received;
   reg.add(telemetry_.reveals_received);
-  // Weak authentication is never cached across a batch: same-interval
-  // reveals can carry different key bytes.
   if (!auth_.accept(packet.interval, packet.key)) {
     ++stats_.keys_rejected;
     reg.add(telemetry_.keys_rejected);
@@ -266,26 +186,11 @@ std::vector<AuthenticatedMessage> TeslaPpReceiver::process_reveal(
     tick(local_now);
     return {};
   }
-  // In a batch the interval's MAC key F'(K_i) is derived once and shared
-  // by every reveal of that interval.
-  common::Bytes mac_key;
-  const common::Bytes* cached = nullptr;
-  if (batch != nullptr) {
-    const auto it = batch->mac_keys.find(packet.interval);
-    if (it != batch->mac_keys.end()) cached = &it->second;
-  }
-  if (cached == nullptr) {
-    mac_key = *auth_.mac_key(packet.interval);
-    ++stats_.mac_key_derivations;
-    reg.add(telemetry_.mac_key_derivations);
-    if (batch != nullptr) {
-      cached = &batch->mac_keys.emplace(packet.interval, mac_key).first->second;
-    } else {
-      cached = &mac_key;
-    }
-  }
+  const common::Bytes mac_key = *auth_.mac_key(packet.interval);
+  ++stats_.mac_key_derivations;
+  reg.add(telemetry_.mac_key_derivations);
   const common::Bytes expected_mac =
-      crypto::compute_mac(*cached, packet.message, config_.mac_size);
+      crypto::compute_mac(mac_key, packet.message, config_.mac_size);
   const common::Bytes expected_record =
       self_mac(packet.interval, expected_mac);
 

@@ -11,11 +11,10 @@
 // against the stored re-MACs.
 //
 // (TESLA++ additionally signs some traffic with ECDSA for non-repudiation;
-// that aspect is orthogonal to the DoS/memory trade-off studied here and
-// is covered by the WOTS bootstrap signature, per DESIGN.md.)
+// that aspect is orthogonal to the DoS/memory trade-off studied here, so
+// the chain commitment is distributed out-of-band, per DESIGN.md.)
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -23,26 +22,14 @@
 
 #include "common/bytes.h"
 #include "crypto/keychain.h"
-#include "crypto/merkle.h"
 #include "obs/registry.h"
 #include "sim/clock_model.h"
 #include "tesla/chain_auth.h"
 #include "tesla/resync.h"
-#include "tesla/tesla.h"
+#include "tesla/verdict.h"
 #include "wire/packet.h"
 
 namespace dap::tesla {
-
-/// A signed chain anchor: TESLA++'s periodic digital signature, realised
-/// with a Merkle many-time signature (DESIGN.md substitutions). Binding
-/// (interval, K_interval) under the sender's published Merkle root lets a
-/// receiver join mid-stream: it trusts K_interval directly instead of
-/// walking the chain from K_0.
-struct SignedAnchor {
-  std::uint32_t interval = 0;
-  common::Bytes key;  // K_interval (already public once disclosed)
-  crypto::MerkleSignature signature;
-};
 
 struct TeslaPpConfig {
   wire::NodeId sender_id = 1;
@@ -77,20 +64,6 @@ class TeslaPpSender {
   /// a prior announce for i (throws std::logic_error otherwise).
   [[nodiscard]] wire::MessageReveal reveal(std::uint32_t i) const;
 
-  /// TESLA++'s periodic signature: a signed anchor for an already-public
-  /// key K_i (i.e. i must be at least one interval in the past when the
-  /// anchor is broadcast). Each call spends one Merkle leaf; throws
-  /// std::runtime_error when the signer is exhausted.
-  [[nodiscard]] SignedAnchor make_anchor(std::uint32_t i);
-
-  /// The Merkle root receivers pin (distributed out-of-band).
-  [[nodiscard]] const common::Bytes& signature_root() const noexcept {
-    return signer_.root();
-  }
-  [[nodiscard]] std::size_t anchors_remaining() const noexcept {
-    return signer_.capacity() - signer_.signatures_used();
-  }
-
   [[nodiscard]] const TeslaPpConfig& config() const noexcept {
     return config_;
   }
@@ -101,16 +74,8 @@ class TeslaPpSender {
  private:
   TeslaPpConfig config_;
   crypto::KeyChain chain_;
-  crypto::MerkleSigner signer_;
   std::map<std::uint32_t, common::Bytes> announced_;  // interval -> message
 };
-
-/// Verifies a signed anchor against the sender's pinned Merkle root.
-bool verify_anchor(const SignedAnchor& anchor, common::ByteView root,
-                   unsigned merkle_height = 4);
-
-/// The byte string an anchor signature covers.
-common::Bytes anchor_payload(const SignedAnchor& anchor);
 
 struct TeslaPpStats {
   std::uint64_t announces_received = 0;
@@ -123,23 +88,16 @@ struct TeslaPpStats {
   std::uint64_t unmatched = 0;  // reveal without a matching stored record
   std::uint64_t admissions_shed = 0;  // dropped at the record pool cap
   std::uint64_t crash_restarts = 0;
-  std::uint64_t mac_key_derivations = 0;  // F'(K_i) computations (batching KPI)
+  std::uint64_t mac_key_derivations = 0;  // F'(K_i) computations
 };
 
 class TeslaPpReceiver {
  public:
-  /// `commitment` must come from a verified bootstrap; `local_secret` is
-  /// this node's private re-MAC key (never leaves the node).
+  /// `commitment` is the authentic chain commitment K_0 (distributed
+  /// out-of-band); `local_secret` is this node's private re-MAC key
+  /// (never leaves the node).
   TeslaPpReceiver(const TeslaPpConfig& config, common::Bytes commitment,
                   common::Bytes local_secret, sim::LooseClock clock);
-
-  /// Mid-stream bootstrap from a *verified* signed anchor (the caller
-  /// must check verify_anchor first): the receiver trusts K_anchor
-  /// directly and authenticates traffic from interval anchor+1 onward.
-  static TeslaPpReceiver from_anchor(const TeslaPpConfig& config,
-                                     const SignedAnchor& anchor,
-                                     common::Bytes local_secret,
-                                     sim::LooseClock clock);
 
   /// Phase 1: store a shortened self-MAC of the announced MAC.
   void receive(const wire::MacAnnounce& packet, sim::SimTime local_now);
@@ -148,23 +106,6 @@ class TeslaPpReceiver {
   /// self-MAC and match it against interval i's stored records.
   std::vector<AuthenticatedMessage> receive(const wire::MessageReveal& packet,
                                             sim::SimTime local_now);
-
-  // ---- Batched reveal verification ---------------------------------------
-
-  /// Queues a reveal for deferred processing by drain_pending_batch().
-  void enqueue(const wire::MessageReveal& packet);
-
-  /// Reveals currently queued.
-  [[nodiscard]] std::size_t pending_reveals() const noexcept {
-    return pending_.size();
-  }
-
-  /// Processes every queued reveal in arrival order, deriving each
-  /// interval's MAC key F'(K_i) once per drain instead of once per
-  /// reveal. Outcomes match one-at-a-time receive() calls at the same
-  /// `local_now` exactly; slot k holds the k-th packet's result.
-  std::vector<std::vector<AuthenticatedMessage>> drain_pending_batch(
-      sim::SimTime local_now);
 
   [[nodiscard]] const TeslaPpStats& stats() const noexcept { return stats_; }
   /// Bits currently held in record storage (for the memory experiments).
@@ -188,24 +129,8 @@ class TeslaPpReceiver {
   }
 
  private:
-  TeslaPpReceiver(const TeslaPpConfig& config, common::Bytes anchor_key,
-                  std::uint32_t anchor_index, common::Bytes local_secret,
-                  sim::LooseClock clock);
-
   [[nodiscard]] common::Bytes self_mac(std::uint32_t interval,
                                        common::ByteView mac) const;
-
-  /// Per-drain cache of derived MAC keys (outcomes are never cached:
-  /// same-interval reveals can carry different key bytes).
-  struct BatchContext {
-    std::map<std::uint32_t, common::Bytes> mac_keys;
-  };
-
-  /// Shared reveal path: receive() passes no context, the batch drain
-  /// passes one context per drain.
-  std::vector<AuthenticatedMessage> process_reveal(
-      const wire::MessageReveal& packet, sim::SimTime local_now,
-      BatchContext* batch);
 
   /// Safety check through the live calibration (when present) or the
   /// bootstrap LooseClock, widened by the drift-allowance margin.
@@ -226,8 +151,6 @@ class TeslaPpReceiver {
     obs::CounterHandle admissions_shed;
     obs::CounterHandle crash_restarts;
     obs::CounterHandle mac_key_derivations;
-    obs::CounterHandle reveal_batches;
-    obs::CounterHandle batched_reveals;
     obs::HistogramHandle rx_announce_latency;
     obs::HistogramHandle rx_reveal_latency;
   };
@@ -240,7 +163,6 @@ class TeslaPpReceiver {
   sim::LooseClock clock_;
   ChainAuthenticator auth_;
   std::map<std::uint32_t, std::set<common::Bytes>> records_;
-  std::deque<wire::MessageReveal> pending_;  // enqueue() backlog
   TeslaPpStats stats_;
   ResyncController resync_;
   std::optional<SyncCalibration> calibration_;

@@ -1,10 +1,10 @@
 #pragma once
 // CRC-32 (IEEE 802.3 polynomial, reflected) for link-layer framing.
 //
-// The simulator's channel can corrupt frames; CRC catches corruption the
-// way a real link layer would, so protocol code above only ever sees
-// whole, uncorrupted packets (or nothing). CRC is NOT a security
-// mechanism — authenticity comes from the MACs.
+// CRC catches corrupted frames the way a real link layer would, so
+// protocol code above only ever sees whole, uncorrupted packets (or
+// nothing). CRC is NOT a security mechanism — authenticity comes from
+// the MACs.
 
 #include <cstdint>
 

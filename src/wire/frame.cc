@@ -27,30 +27,4 @@ std::optional<Packet> deframe(common::ByteView bytes) {
   return decode(payload);
 }
 
-common::Bytes encode_wots_signature(
-    const std::vector<common::Bytes>& chains) {
-  common::Writer w;
-  w.u16(static_cast<std::uint16_t>(chains.size()));
-  for (const auto& c : chains) w.blob(c);
-  return std::move(w).take();
-}
-
-std::optional<std::vector<common::Bytes>> decode_wots_signature(
-    common::ByteView data) {
-  DAP_REQUIRE(data.data() != nullptr || data.empty(),
-              "decode_wots_signature: null view with nonzero length");
-  common::Reader r(data);
-  const auto count = r.u16();
-  if (!count) return std::nullopt;
-  std::vector<common::Bytes> chains;
-  chains.reserve(*count);
-  for (std::uint16_t i = 0; i < *count; ++i) {
-    auto c = r.blob();
-    if (!c) return std::nullopt;
-    chains.push_back(std::move(*c));
-  }
-  if (!r.exhausted()) return std::nullopt;
-  return chains;
-}
-
 }  // namespace dap::wire

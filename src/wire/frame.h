@@ -1,10 +1,9 @@
 #pragma once
 // Link-layer framing: packet bytes + CRC-32 trailer.
 //
-// The simulator corrupts frames at the byte level when a channel is
-// configured with a bit-error model; `deframe` drops corrupted frames the
-// way real link hardware would, so the protocol layer sees only intact
-// packets or losses.
+// `deframe` drops a frame whose CRC does not match the way real link
+// hardware would, so the protocol layer sees only intact packets or
+// losses.
 
 #include <optional>
 
@@ -18,11 +17,5 @@ common::Bytes frame(const Packet& packet);
 
 /// Verifies CRC and decodes; nullopt on CRC mismatch or malformed payload.
 std::optional<Packet> deframe(common::ByteView bytes);
-
-/// Serializes a WOTS signature for transport in BootstrapPacket.
-common::Bytes encode_wots_signature(
-    const std::vector<common::Bytes>& chains);
-std::optional<std::vector<common::Bytes>> decode_wots_signature(
-    common::ByteView data);
 
 }  // namespace dap::wire

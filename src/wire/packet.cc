@@ -10,13 +10,12 @@ namespace {
 // Fixed header: type tag (8) + sender (32).
 constexpr std::size_t kHeaderBits = 8 + 32;
 
+// Tags are fixed on the wire; 4 and 6 are retired and decode as unknown.
 enum class Tag : std::uint8_t {
   kTesla = 1,
   kMacAnnounce = 2,
   kMessageReveal = 3,
-  kKeyDisclosure = 4,
   kCdm = 5,
-  kBootstrap = 6,
 };
 
 std::size_t blob_bits(const common::Bytes& b) noexcept {
@@ -38,10 +37,6 @@ std::size_t MessageReveal::wire_bits() const noexcept {
   return kHeaderBits + 32 + blob_bits(message) + blob_bits(key);
 }
 
-std::size_t KeyDisclosure::wire_bits() const noexcept {
-  return kHeaderBits + 32 + blob_bits(key);
-}
-
 common::Bytes CdmPacket::mac_payload() const {
   common::Writer w;
   w.u32(high_interval);
@@ -54,11 +49,6 @@ std::size_t CdmPacket::wire_bits() const noexcept {
   return kHeaderBits + 32 + blob_bits(low_commitment) +
          blob_bits(next_cdm_image) + blob_bits(mac) +
          blob_bits(disclosed_high_key);
-}
-
-std::size_t BootstrapPacket::wire_bits() const noexcept {
-  return kHeaderBits + 32 + 64 + blob_bits(commitment) + blob_bits(signature) +
-         blob_bits(signer_public_key);
 }
 
 std::size_t wire_bits(const Packet& packet) noexcept {
@@ -93,11 +83,6 @@ common::Bytes encode(const Packet& packet) {
           w.u32(p.interval);
           w.blob(p.message);
           w.blob(p.key);
-        } else if constexpr (std::is_same_v<T, KeyDisclosure>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kKeyDisclosure));
-          w.u32(p.sender);
-          w.u32(p.interval);
-          w.blob(p.key);
         } else if constexpr (std::is_same_v<T, CdmPacket>) {
           w.u8(static_cast<std::uint8_t>(Tag::kCdm));
           w.u32(p.sender);
@@ -106,14 +91,6 @@ common::Bytes encode(const Packet& packet) {
           w.blob(p.next_cdm_image);
           w.blob(p.mac);
           w.blob(p.disclosed_high_key);
-        } else if constexpr (std::is_same_v<T, BootstrapPacket>) {
-          w.u8(static_cast<std::uint8_t>(Tag::kBootstrap));
-          w.u32(p.sender);
-          w.u32(p.start_interval);
-          w.u64(p.interval_duration_us);
-          w.blob(p.commitment);
-          w.blob(p.signature);
-          w.blob(p.signer_public_key);
         }
       },
       packet);
@@ -177,16 +154,6 @@ std::optional<Packet> decode(common::ByteView data) {
       p.key = std::move(*key);
       return Packet{std::move(p)};
     }
-    case Tag::kKeyDisclosure: {
-      KeyDisclosure p;
-      p.sender = *sender;
-      const auto interval = r.u32();
-      auto key = r.blob();
-      if (!interval || !key || !r.exhausted()) return std::nullopt;
-      p.interval = *interval;
-      p.key = std::move(*key);
-      return Packet{std::move(p)};
-    }
     case Tag::kCdm: {
       CdmPacket p;
       p.sender = *sender;
@@ -204,25 +171,6 @@ std::optional<Packet> decode(common::ByteView data) {
       p.next_cdm_image = std::move(*image);
       p.mac = std::move(*mac);
       p.disclosed_high_key = std::move(*disclosed);
-      return Packet{std::move(p)};
-    }
-    case Tag::kBootstrap: {
-      BootstrapPacket p;
-      p.sender = *sender;
-      const auto start = r.u32();
-      const auto duration = r.u64();
-      auto commitment = r.blob();
-      auto signature = r.blob();
-      auto pk = r.blob();
-      if (!start || !duration || !commitment || !signature || !pk ||
-          !r.exhausted()) {
-        return std::nullopt;
-      }
-      p.start_interval = *start;
-      p.interval_duration_us = *duration;
-      p.commitment = std::move(*commitment);
-      p.signature = std::move(*signature);
-      p.signer_public_key = std::move(*pk);
       return Packet{std::move(p)};
     }
   }

@@ -1,9 +1,9 @@
 #pragma once
 // Packet model for the whole protocol family.
 //
-// Every broadcast in TESLA / μTESLA / multi-level μTESLA / TESLA++ / DAP
-// is one of a small set of packet kinds; they are modelled as a
-// std::variant so protocol code pattern-matches instead of down-casting.
+// Every broadcast in multi-level μTESLA / TESLA++ / DAP is one of a small
+// set of packet kinds; they are modelled as a std::variant so protocol
+// code pattern-matches instead of down-casting.
 // Each kind knows its on-wire bit size (used by the bandwidth model and
 // by the memory-cost experiment E6).
 
@@ -19,7 +19,8 @@ using NodeId = std::uint32_t;
 using IntervalIndex = std::uint32_t;
 
 /// TESLA-style data packet: message + MAC + (optionally) a disclosed key
-/// for an earlier interval, all in one broadcast.
+/// for an earlier interval, all in one broadcast. Multi-level μTESLA's
+/// low-level data packets use this kind.
 struct TeslaPacket {
   NodeId sender = 0;
   IntervalIndex interval = 0;        // interval whose key MACed this packet
@@ -54,16 +55,6 @@ struct MessageReveal {
   bool operator==(const MessageReveal&) const = default;
 };
 
-/// Standalone key disclosure (μTESLA discloses once per interval).
-struct KeyDisclosure {
-  NodeId sender = 0;
-  IntervalIndex interval = 0;  // interval the key belongs to
-  common::Bytes key;
-
-  [[nodiscard]] std::size_t wire_bits() const noexcept;
-  bool operator==(const KeyDisclosure&) const = default;
-};
-
 /// Multi-level μTESLA commitment-distribution message for high-level
 /// interval i:
 ///   CDM_i = i | K_{i+2,0} | H(CDM_{i+1})? | MAC_{K'_i}(...) | K_{i-1}
@@ -82,23 +73,8 @@ struct CdmPacket {
   bool operator==(const CdmPacket&) const = default;
 };
 
-/// Bootstrap: the chain commitment, interval schedule, and a WOTS
-/// signature transported as raw bytes (signature layout is handled by
-/// crypto::WotsSignature; here it is opaque payload).
-struct BootstrapPacket {
-  NodeId sender = 0;
-  IntervalIndex start_interval = 0;
-  std::uint64_t interval_duration_us = 0;
-  common::Bytes commitment;
-  common::Bytes signature;  // serialized WOTS signature
-  common::Bytes signer_public_key;
-
-  [[nodiscard]] std::size_t wire_bits() const noexcept;
-  bool operator==(const BootstrapPacket&) const = default;
-};
-
-using Packet = std::variant<TeslaPacket, MacAnnounce, MessageReveal,
-                            KeyDisclosure, CdmPacket, BootstrapPacket>;
+using Packet =
+    std::variant<TeslaPacket, MacAnnounce, MessageReveal, CdmPacket>;
 
 /// On-wire size of any packet in bits (header + payload, excluding CRC).
 std::size_t wire_bits(const Packet& packet) noexcept;

@@ -12,8 +12,10 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "analysis/chaos.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "dap/dap.h"
 #include "obs/registry.h"
@@ -152,6 +154,17 @@ TEST(ChaosSoak, ResyncTelemetryVisibleInRegistryExport) {
 
 // ------------------------------------------------- fleet-level chaos
 
+/// Fans the cases across the parallel engine, the way bench/fleet_scale
+/// runs its chaos sweep (slot order preserved).
+std::vector<analysis::FleetChaosResult> run_cases(
+    const std::vector<analysis::FleetChaosCase>& cases) {
+  return common::parallel_map<analysis::FleetChaosResult>(
+      cases.size(),
+      [&cases](std::size_t i) {
+        return analysis::run_fleet_chaos_case(cases[i]);
+      });
+}
+
 TEST(FleetChaos, EveryStandardCaseHoldsAllThreeInvariants) {
   // Relay crash/reboot-skew, healing partitions, degraded budgets, and
   // guard saturation across multi-hop topologies: zero forged auths,
@@ -159,7 +172,7 @@ TEST(FleetChaos, EveryStandardCaseHoldsAllThreeInvariants) {
   // full sentinel authentication within the case's documented bound.
   const auto cases = analysis::standard_fleet_chaos_cases(/*smoke=*/true);
   ASSERT_GE(cases.size(), 5u);
-  const auto results = analysis::run_fleet_chaos_cases(cases);
+  const auto results = run_cases(cases);
   ASSERT_EQ(results.size(), cases.size());
   for (const auto& result : results) {
     EXPECT_TRUE(result.zero_forged)
@@ -177,7 +190,7 @@ TEST(FleetChaos, CasesExerciseEveryFaultKindAndStressTheGuard) {
   // one crash cycle, one healed partition, budget shedding, and tag
   // evictions somewhere across the cases.
   const auto cases = analysis::standard_fleet_chaos_cases(/*smoke=*/true);
-  const auto results = analysis::run_fleet_chaos_cases(cases);
+  const auto results = run_cases(cases);
   std::uint64_t restarts = 0;
   std::uint64_t shed = 0;
   std::uint64_t evicted = 0;

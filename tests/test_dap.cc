@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -188,6 +189,11 @@ TEST(DapReceiver, SetBuffersAffectsNewRounds) {
 
 // ------------------------------------------------- attack-success property
 
+// The analytic P = p^m is the large-flood limit of the reservoir's
+// hypergeometric exclusion probability, so the sender redundancy is
+// chosen to keep the total flood much larger than m.
+constexpr std::size_t kAuthenticCopies = 40;
+
 double measured_attack_success(double p, std::size_t m, int trials,
                                BufferPolicy policy, std::uint64_t seed) {
   const auto config = [&] {
@@ -198,10 +204,7 @@ double measured_attack_success(double p, std::size_t m, int trials,
   }();
   Rng master(seed);
   int successes = 0;
-  // The analytic P = p^m is the large-flood limit of the reservoir's
-  // hypergeometric exclusion probability, so the sender redundancy is
-  // chosen to keep the total flood much larger than m.
-  const std::size_t authentic_copies = 40;
+  const std::size_t authentic_copies = kAuthenticCopies;
   const std::size_t forged =
       sim::FloodingForger::copies_for_fraction(authentic_copies, p);
   for (int t = 0; t < trials; ++t) {
@@ -231,16 +234,62 @@ double measured_attack_success(double p, std::size_t m, int trials,
   return static_cast<double>(successes) / trials;
 }
 
+// Exact attack success of a uniform size-m reservoir over F forged and
+// A authentic copies: no authentic copy survives, C(F,m) / C(F+A,m).
+double reservoir_exact(std::size_t forged, std::size_t authentic,
+                       std::size_t m) {
+  double p = 1.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    p *= static_cast<double>(forged - j) /
+         static_cast<double>(forged + authentic - j);
+  }
+  return p;
+}
+
+// Two-sided exact binomial tail of observing `k` of `n` at rate `q`:
+// 2 * min(P[X <= k], P[X >= k]), capped at 1.
+double binomial_two_sided(std::size_t k, std::size_t n, double q) {
+  const auto pmf = [n, q](std::size_t i) {
+    if (q <= 0.0) return i == 0 ? 1.0 : 0.0;
+    if (q >= 1.0) return i == n ? 1.0 : 0.0;
+    const double dn = static_cast<double>(n);
+    const double di = static_cast<double>(i);
+    return std::exp(std::lgamma(dn + 1) - std::lgamma(di + 1) -
+                    std::lgamma(dn - di + 1) + di * std::log(q) +
+                    (dn - di) * std::log1p(-q));
+  };
+  double lower = 0.0;
+  double upper = 0.0;
+  for (std::size_t i = 0; i <= n; ++i) {
+    if (i <= k) lower += pmf(i);
+    if (i >= k) upper += pmf(i);
+  }
+  return std::min(1.0, 2.0 * std::min(lower, upper));
+}
+
 class AttackSuccess
     : public ::testing::TestWithParam<std::pair<double, std::size_t>> {};
 
 TEST_P(AttackSuccess, MatchesAnalyticPm) {
   const auto [p, m] = GetParam();
+  constexpr int kTrials = 2500;
   const double measured = measured_attack_success(
-      p, m, 2500, BufferPolicy::kReservoir, 7777);
+      p, m, kTrials, BufferPolicy::kReservoir, 7777);
   const double analytic = std::pow(p, static_cast<double>(m));
   EXPECT_NEAR(measured, analytic, 0.035)
       << "p=" << p << " m=" << m;
+  // Exact bound: the two-sided exact binomial tail of the measured count
+  // against the exact reservoir value must clear the receiver-flood cell
+  // level of the repository benchmark, 2 * (1 - Phi(4.5)).
+  constexpr double kLevel = 6.795e-6;
+  const std::size_t forged =
+      sim::FloodingForger::copies_for_fraction(kAuthenticCopies, p);
+  const double exact = reservoir_exact(forged, kAuthenticCopies, m);
+  const auto successes =
+      static_cast<std::size_t>(std::llround(measured * kTrials));
+  const double tail = binomial_two_sided(successes, kTrials, exact);
+  EXPECT_GE(tail, kLevel) << "p=" << p << " m=" << m << " measured="
+                          << measured << " exact=" << exact;
 }
 
 INSTANTIATE_TEST_SUITE_P(

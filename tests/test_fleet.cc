@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -226,11 +227,11 @@ TEST(Scenario, ValidateRejectsSinkAttacker) {
 TEST(Scenario, IdAndTotals) {
   const fleet::ScenarioSpec spec = sample_spec();
   EXPECT_EQ(spec.id(), "tree_d2f3_m25_p0.5");
-  // Tree with depth 2, fanout 3: 13 nodes, 12 cohorts by default.
-  EXPECT_EQ(spec.total_members(), 12u * 25u);
-  fleet::ScenarioSpec leaves_only = spec;
-  leaves_only.cohorts_at_leaves_only = true;
-  EXPECT_EQ(leaves_only.total_members(), 9u * 25u);
+  // Tree with depth 2, fanout 3: 13 nodes (12 non-root cohorts by
+  // default), 9 of them leaves.
+  const fleet::Topology topo = spec.build_topology();
+  EXPECT_EQ(topo.node_count, 13u);
+  EXPECT_EQ(topo.leaves().size(), 9u);
 }
 
 TEST(Scenario, GuardAndFaultsRoundTripWithChaosId) {
@@ -891,6 +892,60 @@ TEST(FleetSim, VerifySpansLinkBackToAnnounceAcrossTwoHops) {
   std::set<std::uint64_t> traces;
   for (const auto& span : spans) traces.insert(span.trace);
   EXPECT_EQ(traces.size(), static_cast<std::size_t>(spec.intervals));
+}
+
+/// The unsigned value after `"key":` in one snapshot line (0 if absent).
+std::uint64_t snapshot_value(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  if (at == std::string::npos) return 0;
+  return std::stoull(line.substr(at + needle.size()));
+}
+
+TEST(FleetSim, HopLatencySamplesAreObservedOncePerArrival) {
+  // Every drain sweep flushes live telemetry; each authentic announce
+  // arrival must reach the hop-latency histogram exactly once however
+  // many flushes happen, so at every snapshot the histogram count equals
+  // the depth's announces_in counter.
+  const ThreadGuard threads(1);
+  ObsOverrideGuard obs_guard(1 << 12);
+  fleet::ScenarioSpec spec = small_tree_spec();
+  spec.intervals = 6;
+  fleet::FleetSim sim(spec);
+  obs::Snapshotter snap("hop-latency", 1);  // sample at every flush
+  sim.set_snapshotter(&snap);
+  (void)sim.run();
+
+  std::size_t mid_run_flushes_with_arrivals = 0;
+  std::istringstream stream(snap.stream());
+  std::string line;
+  std::getline(stream, line);  // header
+  while (std::getline(stream, line)) {
+    bool arrivals = false;
+    for (std::uint32_t d = 1; d <= spec.depth; ++d) {
+      const std::string prefix = "fleet.d" + std::to_string(d) + ".";
+      const std::uint64_t in = snapshot_value(line, prefix + "announces_in");
+      const std::uint64_t observed =
+          snapshot_value(line, prefix + "hop_latency_us\":{\"count");
+      EXPECT_EQ(observed, in) << "depth " << d << " at " << line;
+      arrivals = arrivals || in > 0;
+    }
+    if (arrivals) ++mid_run_flushes_with_arrivals;
+  }
+  EXPECT_GE(mid_run_flushes_with_arrivals, 2u);
+
+  // After the final flush the registry holds one sample per arrival.
+  const obs::Registry& reg = obs_guard.registry();
+  for (std::uint32_t d = 1; d <= spec.depth; ++d) {
+    const std::string prefix = "fleet.d" + std::to_string(d) + ".";
+    const std::uint64_t* in = reg.find_counter(prefix + "announces_in");
+    const obs::LatencyHistogram* hops =
+        reg.find_histogram(prefix + "hop_latency_us");
+    ASSERT_NE(in, nullptr);
+    ASSERT_NE(hops, nullptr);
+    EXPECT_EQ(hops->count(), *in) << "depth " << d;
+    EXPECT_GT(*in, 0u);
+  }
 }
 
 TEST(FleetSim, ForgedRevealsTagVerifySpansWithRejectReason) {

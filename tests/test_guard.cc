@@ -149,16 +149,6 @@ TEST(IngressGuard, ResetClearsStoreAndRestartsBudgetFull) {
   EXPECT_EQ(guard.peak_occupancy(), 1u);
 }
 
-TEST(IngressGuard, SetBudgetTightensMidRun) {
-  GuardConfig config;
-  config.capacity = 32;
-  IngressGuard guard(config);
-  EXPECT_EQ(guard.admit(1, 1'000'000, 0), Verdict::kAdmit);  // unlimited
-  guard.set_budget(1.0, 1'000, 0);
-  EXPECT_EQ(guard.admit(2, 2'000, 0), Verdict::kShed);
-  EXPECT_EQ(guard.admit(3, 500, 0), Verdict::kAdmit);
-}
-
 TEST(IngressGuard, FalseDropsAreCallerClassified) {
   GuardConfig config;
   config.capacity = 8;

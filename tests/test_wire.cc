@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "common/rng.h"
 #include "wire/crc32.h"
 #include "wire/frame.h"
@@ -71,16 +73,6 @@ TEST(Packet, MessageRevealRoundTrip) {
   EXPECT_EQ(std::get<MessageReveal>(*decoded), p);
 }
 
-TEST(Packet, KeyDisclosureRoundTrip) {
-  KeyDisclosure p;
-  p.sender = 1;
-  p.interval = 5;
-  p.key = Bytes(10, 0x77);
-  const auto decoded = decode(encode(Packet{p}));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(std::get<KeyDisclosure>(*decoded), p);
-}
-
 TEST(Packet, CdmRoundTrip) {
   CdmPacket p;
   p.sender = 2;
@@ -92,19 +84,6 @@ TEST(Packet, CdmRoundTrip) {
   const auto decoded = decode(encode(Packet{p}));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(std::get<CdmPacket>(*decoded), p);
-}
-
-TEST(Packet, BootstrapRoundTrip) {
-  BootstrapPacket p;
-  p.sender = 1;
-  p.start_interval = 1;
-  p.interval_duration_us = 1000000;
-  p.commitment = Bytes(10, 0x11);
-  p.signature = Bytes(80, 0x22);
-  p.signer_public_key = Bytes(32, 0x33);
-  const auto decoded = decode(encode(Packet{p}));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(std::get<BootstrapPacket>(*decoded), p);
 }
 
 TEST(Packet, EmptyFieldsRoundTrip) {
@@ -150,7 +129,6 @@ TEST(Packet, WireBitsAccounting) {
   a.mac = Bytes(10, 0);
   EXPECT_EQ(a.wire_bits(), 8u + 32 + 32 + 16 + 80);
   // A MAC-only announce must be much smaller than a full TESLA packet.
-  EXPECT_LT(Packet{a}.index(), 6u);
   EXPECT_LT(wire_bits(Packet{a}), wire_bits(Packet{sample_tesla()}));
 }
 
@@ -185,29 +163,6 @@ TEST(Frame, DetectsCorruptionAnywhere) {
 TEST(Frame, RejectsTooShort) {
   EXPECT_FALSE(deframe(Bytes{1, 2, 3}).has_value());
   EXPECT_FALSE(deframe({}).has_value());
-}
-
-TEST(Frame, WotsSignatureTransportRoundTrip) {
-  std::vector<Bytes> chains = {Bytes(32, 1), Bytes(32, 2), Bytes(32, 3)};
-  const Bytes encoded = encode_wots_signature(chains);
-  const auto decoded = decode_wots_signature(encoded);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, chains);
-}
-
-TEST(Frame, WotsSignatureRejectsTruncation) {
-  std::vector<Bytes> chains = {Bytes(32, 1), Bytes(32, 2)};
-  Bytes encoded = encode_wots_signature(chains);
-  encoded.resize(encoded.size() - 5);
-  EXPECT_FALSE(decode_wots_signature(encoded).has_value());
-  encoded.clear();
-  EXPECT_FALSE(decode_wots_signature(encoded).has_value());
-}
-
-TEST(Frame, WotsSignatureRejectsTrailingBytes) {
-  Bytes encoded = encode_wots_signature({Bytes(4, 9)});
-  encoded.push_back(0);
-  EXPECT_FALSE(decode_wots_signature(encoded).has_value());
 }
 
 }  // namespace
@@ -256,11 +211,6 @@ std::vector<MalformedCase> malformed_cases() {
   reveal.message = bytes_of("reading=42");
   reveal.key = Bytes(10, 0x66);
 
-  KeyDisclosure disclosure;
-  disclosure.sender = 1;
-  disclosure.interval = 5;
-  disclosure.key = Bytes(10, 0x77);
-
   CdmPacket cdm;
   cdm.sender = 2;
   cdm.high_interval = 6;
@@ -269,23 +219,12 @@ std::vector<MalformedCase> malformed_cases() {
   cdm.mac = Bytes(10, 0xaa);
   cdm.disclosed_high_key = Bytes(10, 0xbb);
 
-  BootstrapPacket bootstrap;
-  bootstrap.sender = 1;
-  bootstrap.start_interval = 1;
-  bootstrap.interval_duration_us = 1000000;
-  bootstrap.commitment = Bytes(10, 0x11);
-  bootstrap.signature = Bytes(80, 0x22);
-  bootstrap.signer_public_key = Bytes(32, 0x33);
-
-  // tag(1) + sender(4) + one u32(4) = 9 for every kind except Bootstrap,
-  // which carries an extra u64 duration before its first blob.
+  // tag(1) + sender(4) + one u32(4) = 9 for every kind.
   return {
       {"tesla", Packet{tesla}, 9},
       {"mac_announce", Packet{announce}, 9},
       {"message_reveal", Packet{reveal}, 9},
-      {"key_disclosure", Packet{disclosure}, 9},
       {"cdm", Packet{cdm}, 9},
-      {"bootstrap", Packet{bootstrap}, 17},
   };
 }
 
@@ -426,23 +365,94 @@ TEST(Packet, WireBitsMatchesEncodedSizeForAllKinds) {
   r.sender = 1;
   r.message = rng.bytes(25);
   r.key = rng.bytes(10);
-  KeyDisclosure d;
-  d.sender = 1;
-  d.key = rng.bytes(10);
   CdmPacket c;
   c.sender = 1;
   c.low_commitment = rng.bytes(10);
   c.mac = rng.bytes(10);
   c.disclosed_high_key = rng.bytes(10);
-  BootstrapPacket b;
-  b.sender = 1;
-  b.commitment = rng.bytes(10);
-  b.signature = rng.bytes(100);
-  b.signer_public_key = rng.bytes(32);
-  for (const Packet& packet :
-       {Packet{a}, Packet{r}, Packet{d}, Packet{c}, Packet{b}}) {
+  for (const Packet& packet : {Packet{a}, Packet{r}, Packet{c}}) {
     EXPECT_EQ(encode(packet).size() * 8, wire_bits(packet));
   }
+}
+
+}  // namespace
+}  // namespace dap::wire
+
+// ------------------------------------------------ tag stability (golden)
+//
+// Frame bytes for one instance of each kind, recorded before the μTESLA
+// key disclosure (tag 4) and the signed bootstrap (tag 6) were retired.
+// The surviving kinds keep their explicit tag numbers, so their frames
+// must not change by a single byte, and the retired tags must now decode
+// as unknown.
+
+namespace dap::wire {
+namespace {
+
+using common::Bytes;
+using common::bytes_of;
+
+TEST(Packet, GoldenFrameBytesAreStable) {
+  MacAnnounce announce;
+  announce.sender = 3;
+  announce.interval = 9;
+  announce.mac = Bytes(10, 0x55);
+  MessageReveal reveal;
+  reveal.sender = 3;
+  reveal.interval = 9;
+  reveal.message = bytes_of("reading=42");
+  reveal.key = Bytes(10, 0x66);
+  CdmPacket cdm;
+  cdm.sender = 2;
+  cdm.high_interval = 6;
+  cdm.low_commitment = Bytes(10, 0x88);
+  cdm.next_cdm_image = Bytes(32, 0x99);
+  cdm.mac = Bytes(10, 0xaa);
+  cdm.disclosed_high_key = Bytes(10, 0xbb);
+
+  const struct {
+    Packet packet;
+    std::string_view frame_hex;
+  } golden[] = {
+      {Packet{sample_tesla()},
+       "01070000002a0000000d0068656c6c6f2073656e736f72730a00abababababababab"
+       "abab280000000a00cdcdcdcdcdcdcdcdcdcd43ffc313"},
+      {Packet{announce}, "0203000000090000000a00555555555555555555555adb2fd0"},
+      {Packet{reveal},
+       "0303000000090000000a0072656164696e673d34320a0066666666666666666666de"
+       "600fea"},
+      {Packet{cdm},
+       "0502000000060000000a008888888888888888888820009999999999999999999999"
+       "9999999999999999999999999999999999999999990a00aaaaaaaaaaaaaaaaaaaa0a"
+       "00bbbbbbbbbbbbbbbbbbbb5f4cfa3c"},
+  };
+  for (const auto& g : golden) {
+    const Bytes expected = common::from_hex(g.frame_hex);
+    EXPECT_EQ(frame(g.packet), expected) << "tag " << int{expected[0]};
+    const auto decoded = deframe(expected);
+    ASSERT_TRUE(decoded.has_value()) << "tag " << int{expected[0]};
+    EXPECT_EQ(*decoded, g.packet);
+  }
+}
+
+TEST(Packet, KeyDisclosureTagIsRetired) {
+  // A former KeyDisclosure{sender 1, interval 5, key 0x77 x 10}.
+  const Bytes encoded =
+      common::from_hex("0401000000050000000a0077777777777777777777");
+  EXPECT_FALSE(decode(encoded).has_value());
+  EXPECT_FALSE(deframe(common::from_hex(
+                   "0401000000050000000a0077777777777777777777286565fd"))
+                   .has_value());
+}
+
+TEST(Packet, BootstrapTagIsRetired) {
+  // A former BootstrapPacket{sender 1, start 1, 1 s intervals, ...}.
+  const Bytes encoded = common::from_hex(
+      "06010000000100000040420f00000000000a00111111111111111111110800222222"
+      "222222222204003333333359919cb9");
+  EXPECT_FALSE(deframe(encoded).has_value());
+  EXPECT_FALSE(
+      decode(common::ByteView(encoded).first(encoded.size() - 4)).has_value());
 }
 
 }  // namespace
