@@ -68,7 +68,8 @@ int main() {
                                  sim::LooseClock(0, 0), rng.fork(1));
   std::size_t authenticated = 0;
   medium.attach(
-      [&](const wire::Packet& packet, sim::SimTime now) {
+      [&](const sim::FramePtr& frame, sim::SimTime now) {
+        const wire::Packet& packet = frame->packet();
         if (const auto* a = std::get_if<wire::MacAnnounce>(&packet)) {
           receiver.receive(*a, now);
         } else if (const auto* r = std::get_if<wire::MessageReveal>(&packet)) {

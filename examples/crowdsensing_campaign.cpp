@@ -64,7 +64,8 @@ int main(int argc, char** argv) {
   }
   for (std::size_t n = 0; n < node_count; ++n) {
     medium.attach(
-        [&nodes, n](const wire::Packet& packet, sim::SimTime now) {
+        [&nodes, n](const sim::FramePtr& frame, sim::SimTime now) {
+          const wire::Packet& packet = frame->packet();
           auto& node = nodes[n];
           if (const auto* a = std::get_if<wire::MacAnnounce>(&packet)) {
             node.receiver.receive(*a, now);

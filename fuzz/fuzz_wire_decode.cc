@@ -9,6 +9,7 @@
 //   3. wire_bits() accounting agrees with the encoded size.
 //   4. deframe() is equally total and only ever accepts CRC-consistent
 //      frames.
+//   5. frame() of any accepted packet deframes back to that packet.
 
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +43,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       fail("wire_bits disagrees with encoded size");
     }
     (void)dap::wire::sender_of(*packet);
+    const auto unframed = dap::wire::deframe(dap::wire::frame(*packet));
+    if (!unframed || !(*unframed == *packet)) {
+      fail("frame/deframe round-trip is not the identity");
+    }
   }
 
   if (const auto framed = dap::wire::deframe(view)) {

@@ -212,7 +212,8 @@ ChaosReport run_chaos_soak(const ChaosConfig& config) {
     }
 
     medium.attach(
-        [&, r](const wire::Packet& packet, sim::SimTime now) {
+        [&, r](const sim::FramePtr& frame, sim::SimTime now) {
+          const wire::Packet& packet = frame->packet();
           const sim::SimTime local = clocks[r].local_time(now);
           if (const auto* a = std::get_if<wire::MacAnnounce>(&packet)) {
             if (a->sender == kDapSenderId) {

@@ -71,4 +71,13 @@ bool constant_time_equal(ByteView a, ByteView b) {
   return acc == 0;
 }
 
+std::uint64_t fnv1a64(ByteView data) noexcept {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : data) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 }  // namespace dap::common

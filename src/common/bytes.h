@@ -39,4 +39,9 @@ bool equal(ByteView a, ByteView b);
 /// Use for all MAC/tag comparisons so forgery attempts cannot use timing.
 bool constant_time_equal(ByteView a, ByteView b);
 
+/// 64-bit FNV-1a of `data`: a fast, non-cryptographic fingerprint for
+/// lookup keys and relay dedup tags. An adversary can find collisions,
+/// so never let it stand in for a MAC.
+std::uint64_t fnv1a64(ByteView data) noexcept;
+
 }  // namespace dap::common

@@ -16,15 +16,6 @@ namespace {
 
 constexpr char kForgedTag[] = "FORGED";
 
-std::uint64_t fnv1a64(common::ByteView data) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t byte : data) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 bool is_forged_payload(common::ByteView message) noexcept {
   const std::size_t tag_len = sizeof(kForgedTag) - 1;
   if (message.size() < tag_len) return false;
@@ -58,8 +49,8 @@ FleetSim::FleetSim(const ScenarioSpec& spec)
     : spec_(spec),
       topo_(spec.build_topology()),
       rng_(common::subseed(spec.seed, 0xf1ee7)),
-      trace_base_(common::subseed(spec.seed,
-                                  fnv1a64(common::bytes_of(spec.id())))) {
+      trace_base_(common::subseed(
+          spec.seed, common::fnv1a64(common::bytes_of(spec.id())))) {
   spec_.validate();
   depths_ = topo_.depths();
   adjacency_ = topo_.adjacency();
@@ -116,12 +107,20 @@ void FleetSim::set_drain_participant(DrainParticipant* participant) {
   drain_participant_ = participant;
 }
 
+void FleetSim::set_ingress_observer(
+    std::function<void(std::uint32_t, const sim::FramePtr&)> fn) {
+  if (ran_) {
+    throw std::logic_error("FleetSim: set_ingress_observer must precede run()");
+  }
+  ingress_observer_ = std::move(fn);
+}
+
 void FleetSim::inject(std::uint32_t node, const wire::Packet& packet) {
   DAP_REQUIRE(ran_, "FleetSim::inject: only valid while run() executes");
   DAP_REQUIRE(node < media_.size() && media_[node] != nullptr,
               "FleetSim::inject: node has no medium (no out-edges)");
   if (const auto* announce = std::get_if<wire::MacAnnounce>(&packet)) {
-    if (announce_sent_at_.count(fnv1a64(announce->mac)) == 0) {
+    if (announce_sent_at_.count(common::fnv1a64(announce->mac)) == 0) {
       ++report_.forged_announces_sent;
     }
   } else if (const auto* reveal = std::get_if<wire::MessageReveal>(&packet)) {
@@ -252,8 +251,8 @@ void FleetSim::build_network(const common::Bytes& commitment) {
     media_[v] = std::make_unique<sim::Medium>(queue_, medium_rng);
     for (const std::uint32_t to : adjacency_[v]) {
       media_[v]->attach(
-          [this, v, to](const wire::Packet& packet, sim::SimTime now) {
-            on_packet(v, to, packet, now);
+          [this, v, to](const sim::FramePtr& frame, sim::SimTime now) {
+            on_packet(v, to, frame, now);
           },
           channel_factory_(v, to), latency_factory_(v, to));
     }
@@ -297,7 +296,7 @@ void FleetSim::schedule_faults() {
 
 bool FleetSim::is_authentic_packet(const wire::Packet& packet) const {
   if (const auto* announce = std::get_if<wire::MacAnnounce>(&packet)) {
-    return announce_sent_at_.count(fnv1a64(announce->mac)) != 0;
+    return announce_sent_at_.count(common::fnv1a64(announce->mac)) != 0;
   }
   if (const auto* reveal = std::get_if<wire::MessageReveal>(&packet)) {
     return !is_forged_payload(reveal->message);
@@ -306,7 +305,9 @@ bool FleetSim::is_authentic_packet(const wire::Packet& packet) const {
 }
 
 void FleetSim::on_packet(std::uint32_t from, std::uint32_t node,
-                         const wire::Packet& packet, sim::SimTime now) {
+                         const sim::FramePtr& frame, sim::SimTime now) {
+  if (ingress_observer_) ingress_observer_(node, frame);
+  const wire::Packet& packet = frame->packet();
   NodeTraffic& traffic = traffic_[node];
   ++traffic.packets_in;
   if (now < down_until_[node]) {
@@ -315,8 +316,7 @@ void FleetSim::on_packet(std::uint32_t from, std::uint32_t node,
     return;
   }
   if (guard_active_) {
-    const common::Bytes encoded = wire::encode(packet);
-    switch (guards_[node].admit(fnv1a64(encoded), encoded.size() * 8, now)) {
+    switch (guards_[node].admit(frame->digest(), frame->bits(), now)) {
       case IngressGuard::Verdict::kDuplicate:
         ++traffic.deduped;
         return;
@@ -329,7 +329,7 @@ void FleetSim::on_packet(std::uint32_t from, std::uint32_t node,
     }
   }
   if (const auto* announce = std::get_if<wire::MacAnnounce>(&packet)) {
-    const auto sent = announce_sent_at_.find(fnv1a64(announce->mac));
+    const auto sent = announce_sent_at_.find(common::fnv1a64(announce->mac));
     if (sent != announce_sent_at_.end()) {
       const std::uint32_t d = depths_[node];
       ++announces_in_by_depth_[d];
@@ -372,7 +372,7 @@ void FleetSim::on_packet(std::uint32_t from, std::uint32_t node,
     if (cohorts_[node]) cohorts_[node]->enqueue_reveal(*reveal);
   }
   if (media_[node]) {
-    media_[node]->broadcast(packet);
+    media_[node]->broadcast(frame);
     ++traffic.forwarded;
   }
 }
@@ -478,7 +478,7 @@ FleetReport FleetSim::run() {
       const std::string payload = "m" + std::to_string(i);
       const wire::MacAnnounce announce =
           sender.announce(i, common::bytes_of(payload));
-      announce_sent_at_.emplace(fnv1a64(announce.mac), queue_.now());
+      announce_sent_at_.emplace(common::fnv1a64(announce.mac), queue_.now());
       ++report_.announces_sent;
       // Open this announce's trace: the root send span is the parent
       // every downstream relay-hop/verify span chains back to.
@@ -534,9 +534,9 @@ FleetReport FleetSim::run() {
       // authentication stands between it and acceptance.
       queue_.schedule_at(t_reveal + sim::kMillisecond,
                          [this, &key_forger, i, attacker_nodes] {
-                           const wire::MessageReveal forged =
+                           const sim::FramePtr forged = sim::make_frame(
                                key_forger.forge_reveal(
-                                   i, common::bytes_of("FORGED"));
+                                   i, common::bytes_of("FORGED")));
                            for (const std::uint32_t a : attacker_nodes) {
                              media_[a]->broadcast(forged);
                              ++report_.forged_reveals_sent;

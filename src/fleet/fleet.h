@@ -5,8 +5,10 @@
 // root, a sim::Medium per relay node (one link per out-edge, each with
 // its own channel + latency model built from the hop spec or a
 // test-supplied factory), and a ReceiverCohort behind every non-root
-// node (or every leaf). Relays re-frame and forward packets hop by hop
-// through the shared EventQueue; an optional per-relay dedup drops
+// node (or every leaf). Each packet is framed once where it originates;
+// relays forward that same immutable frame hop by hop through the shared
+// EventQueue, never re-encoding it, and their ingress guards key on the
+// digest of its bytes, computed once. An optional per-relay dedup drops
 // packets a node has already forwarded so multi-parent topologies
 // (gossip, grid) do not amplify traffic combinatorially — switch it off
 // to observe exactly that amplification.
@@ -164,6 +166,13 @@ class FleetSim {
   /// before run(); the participant must outlive it. nullptr detaches.
   void set_drain_participant(DrainParticipant* participant);
 
+  /// Observer called with every frame reaching node `node`'s ingress,
+  /// before the crash check and the guard. A test seam: it shows which
+  /// frame object each hop received. Must be installed before run();
+  /// nullptr detaches.
+  void set_ingress_observer(
+      std::function<void(std::uint32_t node, const sim::FramePtr& frame)> fn);
+
   /// Broadcasts `packet` from node `v`'s medium. Only valid while run()
   /// is executing (call it from events scheduled on queue()): the media
   /// are built by run(). Forged-traffic counters are maintained from
@@ -190,7 +199,7 @@ class FleetSim {
   void build_network(const common::Bytes& commitment);
   void schedule_faults();
   void on_packet(std::uint32_t from, std::uint32_t node,
-                 const wire::Packet& packet, sim::SimTime now);
+                 const sim::FramePtr& frame, sim::SimTime now);
   /// Authentic control stream? (root announce MAC or genuine reveal) —
   /// classifies budget sheds as false drops.
   [[nodiscard]] bool is_authentic_packet(const wire::Packet& packet) const;
@@ -220,8 +229,8 @@ class FleetSim {
   /// per-relay `seen_` sets — relay memory is O(guard capacity) however
   /// hard the flood pushes.
   std::vector<IngressGuard> guards_;
-  /// True while both dedup and every budget are disabled — skips the
-  /// per-packet encode + guard probe entirely.
+  /// False while both dedup and every budget are disabled — skips the
+  /// per-packet hash + guard probe entirely.
   bool guard_active_ = false;
   /// Crash state: node v drops all ingress while now < down_until_[v].
   std::vector<sim::SimTime> down_until_;
@@ -250,6 +259,7 @@ class FleetSim {
 
   obs::Snapshotter* snapshotter_ = nullptr;
   std::function<void(const DrainObservation&)> drain_observer_;
+  std::function<void(std::uint32_t, const sim::FramePtr&)> ingress_observer_;
   DrainParticipant* drain_participant_ = nullptr;
 
   /// Causal tracing: each authentic announce gets one trace id at the

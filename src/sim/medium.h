@@ -3,16 +3,17 @@
 //
 // Models a single-hop broadcast domain (the setting of μTESLA-style
 // protocols: one base-station/sender population, many receiver nodes,
-// plus attackers injecting into the same medium). Every broadcast is
-// framed (CRC), then independently pushed through each attached link's
-// channel model and latency; receivers get only intact frames.
-// Per-sender bandwidth accounting feeds the bandwidth-fraction
-// experiments.
+// plus attackers injecting into the same medium). Every broadcast pushes
+// one shared, immutable Frame (sim/frame.h) independently through each
+// attached link's channel model and latency; receivers get that same
+// frame object, never a copy or a re-parse. Total airtime (duplicates
+// included) feeds the bandwidth-fraction experiments.
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,15 +21,17 @@
 #include "sim/channel.h"
 #include "sim/event_queue.h"
 #include "sim/faults.h"
+#include "sim/frame.h"
 #include "sim/shaper.h"
-#include "wire/frame.h"
 #include "wire/packet.h"
 
 namespace dap::sim {
 
 class Medium {
  public:
-  using ReceiveFn = std::function<void(const wire::Packet&, SimTime)>;
+  /// Called once per delivered copy, at its arrival time, with the frame
+  /// the origin built (shared by every link, copy and hop).
+  using ReceiveFn = std::function<void(const FramePtr&, SimTime)>;
 
   Medium(EventQueue& queue, common::Rng& rng);
 
@@ -43,15 +46,19 @@ class Medium {
   std::size_t attach(ReceiveFn receive, std::unique_ptr<Channel> channel,
                      std::unique_ptr<LatencyModel> latency);
 
-  /// Broadcasts `packet` to every attached link (including any owned by
+  /// Broadcasts `frame` to every attached link (including any owned by
   /// the sender itself — receivers filter by sender id if they care).
   /// Returns false if the sender's rate limit dropped the frame.
   /// A channel that duplicates (Channel::deliveries > 1) makes the extra
   /// copies count as additional medium transmissions: their bits are
-  /// added to total_bits and attributed to the original sender, since a
-  /// network-level retransmission consumes airtime exactly like the
-  /// first copy did.
-  bool broadcast(const wire::Packet& packet);
+  /// added to total_bits, since a network-level retransmission consumes
+  /// airtime exactly like the first copy did.
+  bool broadcast(const FramePtr& frame);
+
+  /// Frames `packet` here, at its origin, and broadcasts it.
+  bool broadcast(wire::Packet packet) {
+    return broadcast(make_frame(std::move(packet)));
+  }
 
   /// Caps `sender`'s transmit rate with a token bucket. Enforces the
   /// bandwidth fractions the game model reasons about: a flooding
@@ -63,7 +70,6 @@ class Medium {
   [[nodiscard]] std::uint64_t rate_limited_drops(
       wire::NodeId sender) const noexcept;
 
-  [[nodiscard]] std::uint64_t bits_sent_by(wire::NodeId sender) const noexcept;
   [[nodiscard]] std::uint64_t total_bits() const noexcept {
     return total_bits_;
   }
@@ -81,6 +87,13 @@ class Medium {
   }
 
  private:
+  friend class EventQueue;
+
+  /// Hands a delivered copy to link `link`'s receiver (the queue calls
+  /// this when the delivery fires). Links are addressed by index: links_
+  /// may grow (never shrink) while deliveries are pending.
+  void deliver(std::uint32_t link, const FramePtr& frame);
+
   struct Link {
     ReceiveFn receive;
     std::unique_ptr<Channel> channel;
@@ -91,7 +104,6 @@ class Medium {
   EventQueue& queue_;
   common::Rng rng_;
   std::vector<Link> links_;
-  std::vector<std::uint64_t> bits_by_sender_;
   std::uint64_t total_bits_ = 0;
   std::uint64_t duplicated_frames_ = 0;
   std::map<wire::NodeId, TokenBucket> rate_limits_;
@@ -101,7 +113,6 @@ class Medium {
   obs::CounterHandle ctr_rate_limited_;
   obs::CounterHandle ctr_broadcasts_;
   obs::CounterHandle ctr_frames_lost_;
-  obs::CounterHandle ctr_frames_corrupted_;
   obs::CounterHandle ctr_frames_duplicated_;
 };
 

@@ -73,6 +73,13 @@ TEST(Bytes, ConstantTimeEqualMatchesEqual) {
   EXPECT_TRUE(constant_time_equal({}, {}));
 }
 
+TEST(Bytes, Fnv1a64MatchesPublishedVectors) {
+  // Reference values of the 64-bit FNV-1a hash (offset basis for "").
+  EXPECT_EQ(fnv1a64({}), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64(bytes_of("a")), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64(bytes_of("foobar")), 0x85944171f73967e8ULL);
+}
+
 TEST(Codec, IntegerRoundTrip) {
   Writer w;
   w.u8(0xab);

@@ -34,8 +34,10 @@
 #include "sim/adversary.h"
 #include "sim/channel.h"
 #include "sim/faults.h"
+#include "sim/frame.h"
 #include "sim/time.h"
 #include "tesla/verdict.h"
+#include "wire/packet.h"
 
 namespace dap {
 namespace {
@@ -1233,6 +1235,212 @@ TEST(FleetSim, ChaosReportIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(a.reconverge_intervals, b.reconverge_intervals);
   EXPECT_EQ(a.total_bits, b.total_bits);
   EXPECT_EQ(a.forged_accepted, 0u);
+}
+
+// ---------------------------------------- relay data-plane bit identity
+
+// Every FleetReport field and every node's NodeTraffic, one `name=value`
+// per line (doubles at round-trip precision), so a golden comparison
+// pins the whole observable outcome of a run.
+std::string describe_run(const fleet::FleetReport& r,
+                         const fleet::FleetSim& sim) {
+  std::ostringstream out;
+  out.precision(17);
+  out << "total_members=" << r.total_members << '\n'
+      << "cohort_count=" << r.cohort_count << '\n'
+      << "intervals=" << r.intervals << '\n'
+      << "max_depth=" << r.max_depth << '\n'
+      << "announces_sent=" << r.announces_sent << '\n'
+      << "forged_announces_sent=" << r.forged_announces_sent << '\n'
+      << "forged_reveals_sent=" << r.forged_reveals_sent << '\n'
+      << "member_auths=" << r.member_auths << '\n'
+      << "sentinel_auths=" << r.sentinel_auths << '\n'
+      << "forged_accepted=" << r.forged_accepted << '\n'
+      << "announces_unsafe=" << r.announces_unsafe << '\n'
+      << "weak_auth_failures=" << r.weak_auth_failures << '\n'
+      << "dedup_dropped=" << r.dedup_dropped << '\n'
+      << "duplicated_frames=" << r.duplicated_frames << '\n'
+      << "total_bits=" << r.total_bits << '\n'
+      << "guard_evicted=" << r.guard_evicted << '\n'
+      << "guard_shed=" << r.guard_shed << '\n'
+      << "guard_false_drops=" << r.guard_false_drops << '\n'
+      << "guard_peak_entries=" << r.guard_peak_entries << '\n'
+      << "guard_capacity=" << r.guard_capacity << '\n'
+      << "relay_restarts=" << r.relay_restarts << '\n'
+      << "dropped_while_down=" << r.dropped_while_down << '\n'
+      << "fault_clear_interval=" << r.fault_clear_interval << '\n'
+      << "reconverge_intervals=";
+  for (const std::uint32_t v : r.reconverge_intervals) out << v << ',';
+  out << '\n'
+      << "stored_records_peak=" << r.stored_records_peak << '\n'
+      << "auth_rate=" << r.auth_rate << '\n';
+  // node=packets_in,deduped,shed,dropped_down,forwarded
+  for (std::uint32_t v = 0; v < sim.topology().node_count; ++v) {
+    const fleet::NodeTraffic& t = sim.node_traffic(v);
+    out << "node" << v << '=' << t.packets_in << ',' << t.deduped << ','
+        << t.shed << ',' << t.dropped_down << ',' << t.forwarded << '\n';
+  }
+  return out.str();
+}
+
+// Flooded gossip with relay dedup, a guard bandwidth budget, and links
+// that drop, duplicate and jitter (jitter wider than the inter-frame gap
+// reorders frames, so delivery order matters).
+fleet::ScenarioSpec pinned_gossip_spec() {
+  fleet::ScenarioSpec spec;
+  spec.name = "pin-gossip";
+  spec.seed = 77;
+  spec.kind = fleet::TopologyKind::kGossip;
+  spec.relays = 8;
+  spec.fanin = 2;
+  spec.members_per_cohort = 12;
+  spec.intervals = 6;
+  spec.interval_us = 200 * sim::kMillisecond;
+  spec.forged_fraction = 0.9;
+  spec.relay_dedup = true;
+  spec.guard.capacity = 64;
+  spec.guard.budget_mbps = 0.05;
+  spec.guard.burst_bits = 1024.0;
+  spec.hop.loss = 0.05;
+  spec.hop.duplicate_probability = 0.3;
+  spec.hop.jitter_us = 3 * sim::kMillisecond;
+  return spec;
+}
+
+// Flooded grid with a relay crash (plus reboot skew) and a healing
+// partition on one root edge.
+fleet::ScenarioSpec pinned_grid_spec() {
+  fleet::ScenarioSpec spec;
+  spec.name = "pin-grid";
+  spec.seed = 78;
+  spec.kind = fleet::TopologyKind::kGrid;
+  spec.rows = 3;
+  spec.cols = 3;
+  spec.members_per_cohort = 10;
+  spec.intervals = 8;
+  spec.interval_us = 200 * sim::kMillisecond;
+  spec.forged_fraction = 0.6;
+  spec.faults.relay_crashes.push_back({4, 2, 2, 150 * sim::kMillisecond});
+  spec.faults.partitions.push_back({0, 1, 3, 5});
+  return spec;
+}
+
+// The goldens pin the relay data plane's observable outcome: a change to
+// framing, forwarding or event order that moves any count, RNG draw or
+// delivery fails them.
+TEST(FleetSim, FloodedGossipRunMatchesPinnedOutcome) {
+  fleet::FleetSim sim(pinned_gossip_spec());
+  const fleet::FleetReport report = sim.run();
+  EXPECT_EQ(describe_run(report, sim), R"(total_members=96
+cohort_count=8
+intervals=6
+max_depth=3
+announces_sent=6
+forged_announces_sent=54
+forged_reveals_sent=6
+member_auths=280
+sentinel_auths=26
+forged_accepted=0
+announces_unsafe=0
+weak_auth_failures=48
+dedup_dropped=484
+duplicated_frames=243
+total_bits=113160
+guard_evicted=135
+guard_shed=140
+guard_false_drops=9
+guard_peak_entries=42
+guard_capacity=64
+relay_restarts=0
+dropped_while_down=0
+fault_clear_interval=0
+reconverge_intervals=
+stored_records_peak=992
+auth_rate=0.53125
+node0=0,0,0,0,0
+node1=86,14,21,0,51
+node2=149,58,37,0,54
+node3=127,57,16,0,54
+node4=127,62,10,0,55
+node5=139,75,9,0,0
+node6=137,69,14,0,54
+node7=136,76,6,0,54
+node8=162,73,27,0,0
+)");
+}
+
+TEST(FleetSim, FaultedGridRunMatchesPinnedOutcome) {
+  fleet::FleetSim sim(pinned_grid_spec());
+  const fleet::FleetReport report = sim.run();
+  EXPECT_EQ(describe_run(report, sim), R"(total_members=80
+cohort_count=8
+intervals=8
+max_depth=4
+announces_sent=8
+forged_announces_sent=8
+forged_reveals_sent=8
+member_auths=468
+sentinel_auths=51
+forged_accepted=0
+announces_unsafe=2
+weak_auth_failures=55
+dedup_dropped=94
+duplicated_frames=0
+total_bits=43344
+guard_evicted=0
+guard_shed=0
+guard_false_drops=0
+guard_peak_entries=32
+guard_capacity=4096
+relay_restarts=1
+dropped_while_down=10
+fault_clear_interval=5
+reconverge_intervals=0,0,1,0,0,
+stored_records_peak=279
+auth_rate=0.81093749999999998
+node0=0,0,0,0,0
+node1=24,0,0,0,24
+node2=24,0,0,0,24
+node3=32,0,0,0,32
+node4=56,22,0,10,24
+node5=48,22,0,0,26
+node6=32,0,0,0,32
+node7=56,24,0,0,32
+node8=58,26,0,0,0
+)");
+}
+
+TEST(FleetSim, RelayForwardsTheFrameItReceived) {
+  // Chain 0 -> 1 -> 2 under a flood: node 1 forwards the very frame
+  // object it received (no copy, no re-encode), and the tag its guard
+  // admits is the hash of wire::encode(packet), as when each hop
+  // re-encoded the packet itself.
+  fleet::ScenarioSpec spec = small_tree_spec();
+  spec.depth = 2;
+  spec.fanout = 1;
+  spec.forged_fraction = 0.5;
+  fleet::FleetSim sim(spec);
+  std::map<std::uint32_t, std::vector<sim::FramePtr>> seen;
+  sim.set_ingress_observer(
+      [&seen](std::uint32_t node, const sim::FramePtr& frame) {
+        seen[node].push_back(frame);
+      });
+  (void)sim.run();
+  ASSERT_EQ(seen[1].size(), sim.node_traffic(1).packets_in);
+  ASSERT_EQ(sim.node_traffic(1).forwarded, seen[1].size());
+  // Fixed-latency lossless hop: node 2 hears node 1's forwards in order.
+  ASSERT_EQ(seen[2].size(), seen[1].size());
+  for (std::size_t k = 0; k < seen[1].size(); ++k) {
+    EXPECT_EQ(seen[2][k].get(), seen[1][k].get()) << "frame " << k;
+  }
+  for (const auto& [node, frames] : seen) {
+    for (const sim::FramePtr& frame : frames) {
+      const common::Bytes encoded = wire::encode(frame->packet());
+      EXPECT_TRUE(std::equal(frame->bytes().begin(), frame->bytes().end(),
+                             encoded.begin(), encoded.end()));
+      EXPECT_EQ(frame->digest(), common::fnv1a64(encoded));
+    }
+  }
 }
 
 TEST(FleetSim, GuardCountersReachRegistry) {

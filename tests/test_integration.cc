@@ -53,7 +53,8 @@ TEST(Integration, TeslaOverLossyMediumWithSkewedClocks) {
   for (int r = 0; r < kReceivers; ++r) {
     const auto ri = static_cast<std::size_t>(r);
     medium.attach(
-        [&, ri](const wire::Packet& packet, sim::SimTime now) {
+        [&, ri](const sim::FramePtr& frame, sim::SimTime now) {
+          const wire::Packet& packet = frame->packet();
           if (const auto* a = std::get_if<wire::MacAnnounce>(&packet)) {
             heard[ri][a->interval] |= 1;
             receivers[ri].receive(*a, now);
@@ -109,7 +110,8 @@ TEST(Integration, MuTeslaSurvivesGilbertElliottBursts) {
                                      sim::LooseClock(0, 0), rng.fork(1));
   std::size_t authenticated = 0;
   medium.attach(
-      [&](const wire::Packet& packet, sim::SimTime now) {
+      [&](const sim::FramePtr& frame, sim::SimTime now) {
+        const wire::Packet& packet = frame->packet();
         if (const auto* p = std::get_if<wire::TeslaPacket>(&packet)) {
           authenticated += receiver.receive(*p, now).messages.size();
         } else if (const auto* c = std::get_if<wire::CdmPacket>(&packet)) {
@@ -162,7 +164,8 @@ TEST(Integration, DapUnderFloodingAttackOverMedium) {
 
   std::size_t authenticated = 0;
   medium.attach(
-      [&](const wire::Packet& packet, sim::SimTime now) {
+      [&](const sim::FramePtr& frame, sim::SimTime now) {
+        const wire::Packet& packet = frame->packet();
         if (const auto* a = std::get_if<wire::MacAnnounce>(&packet)) {
           receiver.receive(*a, now);
         } else if (const auto* m =
@@ -217,7 +220,8 @@ TEST(Integration, AdaptiveDefenderEndToEndOverMedium) {
 
   std::map<std::uint32_t, std::size_t> announce_counts;
   medium.attach(
-      [&](const wire::Packet& packet, sim::SimTime now) {
+      [&](const sim::FramePtr& frame, sim::SimTime now) {
+        const wire::Packet& packet = frame->packet();
         if (const auto* a = std::get_if<wire::MacAnnounce>(&packet)) {
           defender.receive(*a, now);
           ++announce_counts[a->interval];
@@ -276,7 +280,8 @@ TEST(Integration, ReplayedAnnouncementsAreHarmless) {
 
   std::size_t authenticated = 0;
   medium.attach(
-      [&](const wire::Packet& packet, sim::SimTime now) {
+      [&](const sim::FramePtr& frame, sim::SimTime now) {
+        const wire::Packet& packet = frame->packet();
         if (const auto* a = std::get_if<wire::MacAnnounce>(&packet)) {
           receiver.receive(*a, now);
           recorded.push_back(*a);
@@ -344,7 +349,8 @@ TEST(Integration, MultiSenderCrowdOverMedium) {
   };
   std::map<wire::NodeId, std::size_t> authenticated;
   medium.attach(
-      [&](const wire::Packet& packet, sim::SimTime now) {
+      [&](const sim::FramePtr& frame, sim::SimTime now) {
+        const wire::Packet& packet = frame->packet();
         if (const auto* a = std::get_if<wire::MacAnnounce>(&packet)) {
           if (auto* receiver = route(a->sender)) {
             receiver->receive(*a, now);

@@ -51,7 +51,7 @@ TEST(EventQueue, EventsMayScheduleMoreEvents) {
   std::vector<SimTime> times;
   q.schedule_at(5, [&] {
     times.push_back(q.now());
-    q.schedule_in(10, [&] { times.push_back(q.now()); });
+    q.schedule_at(q.now() + 10, [&] { times.push_back(q.now()); });
   });
   q.run();
   EXPECT_EQ(times, (std::vector<SimTime>{5, 15}));
@@ -279,9 +279,9 @@ TEST(Medium, DeliversToAllLinks) {
   Rng rng(10);
   Medium medium(q, rng);
   int received_a = 0, received_b = 0;
-  medium.attach([&](const wire::Packet&, SimTime) { ++received_a; },
+  medium.attach([&](const FramePtr&, SimTime) { ++received_a; },
                 std::make_unique<PerfectChannel>());
-  medium.attach([&](const wire::Packet&, SimTime) { ++received_b; },
+  medium.attach([&](const FramePtr&, SimTime) { ++received_b; },
                 std::make_unique<PerfectChannel>());
   medium.broadcast(wire::Packet{make_announce(1, 1)});
   q.run();
@@ -294,7 +294,7 @@ TEST(Medium, RespectsLatency) {
   Rng rng(11);
   Medium medium(q, rng);
   SimTime arrival = 0;
-  medium.attach([&](const wire::Packet&, SimTime t) { arrival = t; },
+  medium.attach([&](const FramePtr&, SimTime t) { arrival = t; },
                 std::make_unique<PerfectChannel>(), 2500);
   medium.broadcast(wire::Packet{make_announce(1, 1)});
   q.run();
@@ -306,7 +306,7 @@ TEST(Medium, LossyLinkDropsFrames) {
   Rng rng(12);
   Medium medium(q, rng);
   int received = 0;
-  medium.attach([&](const wire::Packet&, SimTime) { ++received; },
+  medium.attach([&](const FramePtr&, SimTime) { ++received; },
                 std::make_unique<BernoulliChannel>(0.5));
   for (int i = 0; i < 1000; ++i) {
     medium.broadcast(wire::Packet{make_announce(1, 1)});
@@ -322,17 +322,17 @@ TEST(Medium, TracksBandwidthBySender) {
   EventQueue q;
   Rng rng(14);
   Medium medium(q, rng);
-  medium.attach([](const wire::Packet&, SimTime) {},
+  medium.attach([](const FramePtr&, SimTime) {},
                 std::make_unique<PerfectChannel>());
   const wire::Packet p1{make_announce(1, 1)};
   const wire::Packet p2{make_announce(2, 1)};
+  // Airtime accrues per broadcast, whichever sender transmits.
   medium.broadcast(p1);
+  EXPECT_EQ(medium.total_bits(), wire::wire_bits(p1));
   medium.broadcast(p1);
+  EXPECT_EQ(medium.total_bits(), 2 * wire::wire_bits(p1));
   medium.broadcast(p2);
   q.run();
-  EXPECT_EQ(medium.bits_sent_by(1), 2 * wire::wire_bits(p1));
-  EXPECT_EQ(medium.bits_sent_by(2), wire::wire_bits(p2));
-  EXPECT_EQ(medium.bits_sent_by(99), 0u);
   EXPECT_EQ(medium.total_bits(),
             2 * wire::wire_bits(p1) + wire::wire_bits(p2));
 }
@@ -344,7 +344,7 @@ TEST(Medium, RejectsNullAttachArguments) {
   EXPECT_THROW(medium.attach(nullptr, std::make_unique<PerfectChannel>()),
                std::invalid_argument);
   EXPECT_THROW(
-      medium.attach([](const wire::Packet&, SimTime) {}, nullptr),
+      medium.attach([](const FramePtr&, SimTime) {}, nullptr),
       std::invalid_argument);
 }
 
@@ -371,7 +371,7 @@ TEST(Adversary, FloodInjectsIntoMedium) {
   Rng rng(18);
   Medium medium(q, rng);
   int received = 0;
-  medium.attach([&](const wire::Packet&, SimTime) { ++received; },
+  medium.attach([&](const FramePtr&, SimTime) { ++received; },
                 std::make_unique<PerfectChannel>());
   sim::FloodingForger forger(1, 10, rng.fork(1));
   forger.flood(medium, 2, 25);
@@ -500,7 +500,7 @@ TEST(Medium, RateLimitDropsExcessFrames) {
   common::Rng rng(21);
   Medium medium(queue, rng);
   int received = 0;
-  medium.attach([&](const wire::Packet&, SimTime) { ++received; },
+  medium.attach([&](const FramePtr&, SimTime) { ++received; },
                 std::make_unique<PerfectChannel>());
   wire::MacAnnounce p;
   p.sender = 5;
@@ -526,7 +526,7 @@ TEST(Medium, RateLimitEnforcesBandwidthFraction) {
   EventQueue queue;
   common::Rng rng(22);
   Medium medium(queue, rng);
-  medium.attach([](const wire::Packet&, SimTime) {},
+  medium.attach([](const FramePtr&, SimTime) {},
                 std::make_unique<PerfectChannel>());
   wire::MacAnnounce legit;
   legit.sender = 1;
@@ -667,17 +667,16 @@ TEST(Medium, DuplicatedFramesCountAsExtraAirtime) {
   Rng rng(35);
   Medium medium(q, rng);
   int received = 0;
-  medium.attach([&](const wire::Packet&, SimTime) { ++received; },
+  medium.attach([&](const FramePtr&, SimTime) { ++received; },
                 std::make_unique<DuplicateChannel>(
                     std::make_unique<PerfectChannel>(), 1.0));
   const wire::Packet p{make_announce(1, 1)};
   medium.broadcast(p);
   q.run();
   // The receiver sees both copies, and the duplicate consumed airtime
-  // attributed to the original sender exactly like the first copy.
+  // exactly like the first copy.
   EXPECT_EQ(received, 2);
   EXPECT_EQ(medium.duplicated_frames(), 1u);
-  EXPECT_EQ(medium.bits_sent_by(1), 2 * wire::wire_bits(p));
   EXPECT_EQ(medium.total_bits(), 2 * wire::wire_bits(p));
   EXPECT_EQ(*medium.metrics().find_counter("medium.frames_duplicated"), 1u);
 }
@@ -688,8 +687,9 @@ TEST(Medium, JitterReordersBackToBackFrames) {
   Medium medium(q, rng);
   std::vector<std::uint32_t> arrivals;
   medium.attach(
-      [&](const wire::Packet& packet, SimTime) {
-        arrivals.push_back(std::get<wire::MacAnnounce>(packet).interval);
+      [&](const FramePtr& frame, SimTime) {
+        arrivals.push_back(
+            std::get<wire::MacAnnounce>(frame->packet()).interval);
       },
       std::make_unique<PerfectChannel>(),
       std::make_unique<JitterLink>(kMillisecond, 20 * kMillisecond));
@@ -701,6 +701,159 @@ TEST(Medium, JitterReordersBackToBackFrames) {
   ASSERT_EQ(arrivals.size(), 32u);
   // Jitter much wider than the 10 us inter-frame gap must reorder.
   EXPECT_FALSE(std::is_sorted(arrivals.begin(), arrivals.end()));
+}
+
+TEST(Medium, EveryLinkAndCopySharesTheOriginFrame) {
+  EventQueue q;
+  Rng rng(37);
+  Medium medium(q, rng);
+  std::vector<const Frame*> seen;
+  const auto record = [&](const FramePtr& frame, SimTime) {
+    seen.push_back(frame.get());
+  };
+  medium.attach(record, std::make_unique<PerfectChannel>());
+  medium.attach(record, std::make_unique<DuplicateChannel>(
+                            std::make_unique<PerfectChannel>(), 1.0));
+  const wire::Packet packet{make_announce(1, 4)};
+  const FramePtr frame = make_frame(packet);
+  medium.broadcast(frame);
+  q.run();
+  // One link plus a duplicated link: three copies, one frame object.
+  ASSERT_EQ(seen.size(), 3u);
+  for (const Frame* f : seen) EXPECT_EQ(f, frame.get());
+  EXPECT_EQ(frame->packet(), packet);
+  const Bytes encoded = wire::encode(packet);
+  EXPECT_TRUE(std::equal(frame->bytes().begin(), frame->bytes().end(),
+                         encoded.begin(), encoded.end()));
+  EXPECT_EQ(frame->bits(), wire::wire_bits(packet));
+}
+
+// ------------------------------------ typed queue: deliveries and timers
+
+TEST(EventQueue, SameInstantDeliveriesAndTimersFireInSchedulingOrder) {
+  EventQueue q;
+  Rng rng(38);
+  Medium medium(q, rng);
+  std::string log;
+  medium.attach(
+      [&](const FramePtr& frame, SimTime) {
+        log += 'D';
+        log += std::to_string(
+            std::get<wire::MacAnnounce>(frame->packet()).interval);
+      },
+      std::make_unique<PerfectChannel>(), 10);
+  // All land at t = 10, interleaved timer-first then delivery-first.
+  // Ta schedules Tc for its own instant: Tc goes after everything
+  // already scheduled for t = 10.
+  q.schedule_at(10, [&] {
+    log += "Ta";
+    q.schedule_at(10, [&] { log += "Tc"; });
+  });
+  medium.broadcast(wire::Packet{make_announce(1, 1)});
+  medium.broadcast(wire::Packet{make_announce(1, 2)});
+  q.schedule_at(10, [&] { log += "Tb"; });
+  // A later instant between same-instant pushes splits them apart but
+  // must not reorder them.
+  q.schedule_at(11, [&] { log += "Te"; });
+  q.schedule_at(10, [&] { log += "Td"; });
+  q.run();
+  EXPECT_EQ(log, "TaD1D2TbTdTcTe");
+  EXPECT_EQ(q.now(), 11u);
+}
+
+TEST(EventQueue, DeliveryScheduledAtTheHorizonFiresInTheSameRunUntil) {
+  EventQueue q;
+  Rng rng(39);
+  Medium medium(q, rng);
+  std::vector<SimTime> arrivals;
+  medium.attach([&](const FramePtr&, SimTime t) { arrivals.push_back(t); },
+                std::make_unique<PerfectChannel>(), 10);
+  // A timer at 5 broadcasts: the delivery lands exactly on the horizon.
+  q.schedule_at(5, [&] {
+    medium.broadcast(wire::Packet{make_announce(1, 1)});
+  });
+  // One more timer at 6 whose delivery (t = 16) lies beyond it.
+  q.schedule_at(6, [&] {
+    medium.broadcast(wire::Packet{make_announce(1, 2)});
+  });
+  q.run_until(15);
+  EXPECT_EQ(arrivals, (std::vector<SimTime>{15}));
+  EXPECT_EQ(q.pending(), 1u);
+  q.run();
+  EXPECT_EQ(arrivals, (std::vector<SimTime>{15, 16}));
+}
+
+TEST(EventQueue, ReusedSlotsNeverReorderLaterEvents) {
+  EventQueue q;
+  Rng rng(40);
+  Medium medium(q, rng);
+  std::vector<std::uint32_t> order;
+  medium.attach(
+      [&](const FramePtr& frame, SimTime) {
+        order.push_back(
+            std::get<wire::MacAnnounce>(frame->packet()).interval);
+      },
+      std::make_unique<PerfectChannel>(), 100);
+  // Ten same-time events (deliveries and timers alternating) at t = 100,
+  // plus five early timers whose slots free up first.
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    if (i % 2 == 0) {
+      medium.broadcast(wire::Packet{make_announce(1, i)});
+    } else {
+      q.schedule_at(100, [&order, i] { order.push_back(i); });
+    }
+  }
+  for (SimTime t = 1; t <= 5; ++t) q.schedule_at(t, [] {});
+  q.run_until(5);
+  ASSERT_TRUE(order.empty());
+  // Ten more at t = 100 reuse the freed slots (and then grow the store);
+  // they must still fire after every earlier-scheduled same-time event.
+  for (std::uint32_t i = 10; i < 20; ++i) {
+    if (i % 2 == 0) {
+      q.schedule_at(100, [&order, i] { order.push_back(i); });
+    } else {
+      q.schedule_at(100, [&medium, i] {
+        medium.broadcast(wire::Packet{make_announce(1, i)});
+      });
+    }
+  }
+  q.run();
+  // Odd i >= 10 broadcast at t = 100 and land at t = 200, in order.
+  std::vector<std::uint32_t> expected;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    if (i < 10 || i % 2 == 0) expected.push_back(i);
+  }
+  for (std::uint32_t i = 11; i < 20; i += 2) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueue, LinkAttachedWhileDeliveriesPendIsAddressedCorrectly) {
+  EventQueue q;
+  Rng rng(41);
+  Medium medium(q, rng);
+  std::vector<std::string> log;
+  const auto link = [&log](std::string name) {
+    return [&log, name](const FramePtr& frame, SimTime) {
+      const auto& announce = std::get<wire::MacAnnounce>(frame->packet());
+      log.push_back(name + std::to_string(announce.interval));
+    };
+  };
+  medium.attach(link("a"), std::make_unique<PerfectChannel>(), 10);
+  medium.broadcast(wire::Packet{make_announce(1, 1)});  // pending on a
+  // Growing the link table (it may reallocate) must not misroute the
+  // delivery already queued for link a; a timer attaches one more link
+  // mid-run, with that delivery still pending.
+  for (int k = 0; k < 8; ++k) {
+    medium.attach(link("b"), std::make_unique<BernoulliChannel>(1.0), 10);
+  }
+  q.schedule_at(5, [&] {
+    medium.attach(link("c"), std::make_unique<PerfectChannel>(), 1);
+    medium.broadcast(wire::Packet{make_announce(1, 2)});
+  });
+  q.run();
+  EXPECT_EQ(medium.links(), 10u);
+  // c2 lands at 6, then a1 at 10 and a2 at 15; the lossy b links drop all.
+  EXPECT_EQ(log, (std::vector<std::string>{"c2", "a1", "a2"}));
 }
 
 }  // namespace
