@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/contracts.h"
-#include "common/rng.h"
 #include "common/sync.h"
 
 namespace dap::common {
@@ -310,15 +309,6 @@ std::size_t default_threads() noexcept {
 void set_default_threads(std::size_t n) noexcept {
   g_thread_override.store(n > kMaxThreads ? kMaxThreads : n,
                           std::memory_order_relaxed);
-}
-
-std::uint64_t subseed(std::uint64_t base_seed, std::uint64_t index) noexcept {
-  // One extra SplitMix64 round over (base ^ mixed-index) — the same
-  // golden-ratio increment Rng::fork uses, but stateless, so shard seeds
-  // never depend on fork order.
-  std::uint64_t state =
-      base_seed ^ ((index + 1) * 0x9e3779b97f4a7c15ULL);
-  return splitmix64(state);
 }
 
 bool in_parallel_region() noexcept { return tls_in_parallel_region; }

@@ -37,6 +37,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace dap::common {
 
 /// Threads the hardware advertises (>= 1 even when unknown).
@@ -55,9 +57,16 @@ void set_default_threads(std::size_t n) noexcept;
 /// Stateless SplitMix64-derived sub-seed for item `index` of a run
 /// seeded with `base_seed`. Distinct (base, index) pairs give
 /// independent streams; the mapping is fixed for all time so seeded
-/// experiments stay reproducible across releases.
-[[nodiscard]] std::uint64_t subseed(std::uint64_t base_seed,
-                                    std::uint64_t index) noexcept;
+/// experiments stay reproducible across releases. Inline: the cohort
+/// replay draws two per reservoir offer.
+[[nodiscard]] inline std::uint64_t subseed(std::uint64_t base_seed,
+                                           std::uint64_t index) noexcept {
+  // One extra SplitMix64 round over (base ^ mixed-index) — the same
+  // golden-ratio increment Rng::fork uses, but stateless, so shard seeds
+  // never depend on fork order.
+  std::uint64_t state = base_seed ^ ((index + 1) * 0x9e3779b97f4a7c15ULL);
+  return splitmix64(state);
+}
 
 /// True while the calling thread is executing inside a parallel_for
 /// body; nested parallel_for calls detect this and run inline serially.

@@ -1,6 +1,7 @@
 #include "fleet/cohort.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -196,6 +197,20 @@ void ReceiverCohort::replay_shared(Round& round) const {
   }
 }
 
+std::uint64_t ReceiverCohort::keep_threshold(std::size_t m,
+                                             std::uint64_t k) noexcept {
+  // fl(m/k) >= 1 keeps every 53-bit word (and 2^53 · m/k could overflow).
+  if (k <= m) return std::uint64_t{1} << 53;
+  const double p = static_cast<double>(m) / static_cast<double>(k);
+  return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+}
+
+void ReceiverCohort::grow_keep_table(std::size_t offers) {
+  for (std::size_t k = keep_below_.size(); k <= offers; ++k) {
+    keep_below_.push_back(keep_threshold(config_.dap.buffers, k));
+  }
+}
+
 void ReceiverCohort::replay_member(Round& round, std::uint32_t interval,
                                    std::size_t mi) const {
   const std::size_t m = config_.dap.buffers;
@@ -205,33 +220,29 @@ void ReceiverCohort::replay_member(Round& round, std::uint32_t interval,
     std::copy_n(round.shared.data(), m, slots);
     count = round.shared_count;
   }
-  // Stateless draw chain: (cohort seed, member, interval, offer) fully
-  // determines every reservoir decision, independent of when — and on
-  // which thread — the replay runs. The seeds are derived at the
-  // member's first draw; a member that only fills empty slots needs none.
-  std::uint64_t round_seed = 0;
-  bool seeded = false;
-  for (std::uint32_t k = round.replayed;
-       k < static_cast<std::uint32_t>(round.macs.size()); ++k) {
-    const std::uint32_t offer = k + 1;  // 1-based offer index ("the k-th copy")
-    if (count < m) {
-      store_first_empty(slots, m, offer);
-      ++count;
-      continue;
-    }
-    if (!seeded) {
-      const std::uint64_t member_seed =
-          common::subseed(config_.seed, 1 + static_cast<std::uint64_t>(mi));
-      round_seed = common::subseed(member_seed, interval);
-      seeded = true;
-    }
-    const std::uint64_t keep_word =
-        common::subseed(round_seed, 2ULL * offer);
-    const std::uint64_t victim_word =
-        common::subseed(round_seed, 2ULL * offer + 1);
-    if (unit_double(keep_word) <
-        static_cast<double>(m) / static_cast<double>(offer)) {
-      slots[victim_word % m] = offer;
+  const auto offers = static_cast<std::uint32_t>(round.macs.size());
+  // 1-based offer index ("the k-th copy"). Fill phase: while the member
+  // has an empty slot it keeps every copy there and draws nothing. A
+  // draw never empties a slot, so once full the member stays full.
+  std::uint32_t offer = round.replayed + 1;
+  for (; count < m && offer <= offers; ++offer) {
+    store_first_empty(slots, m, offer);
+    ++count;
+  }
+  if (offer > offers) return;
+  // Draw phase. Stateless draw chain: (cohort seed, member, interval,
+  // offer) fully determines every reservoir decision, independent of
+  // when — and on which thread — the replay runs. Offer k's keep word is
+  // word 2k of the round's chain and its victim word is word 2k+1, drawn
+  // only for a kept copy.
+  const std::uint64_t member_seed =
+      common::subseed(config_.seed, 1 + static_cast<std::uint64_t>(mi));
+  const std::uint64_t round_seed = common::subseed(member_seed, interval);
+  const std::uint64_t* keep_below = keep_below_.data();
+  for (std::uint64_t k = offer; k <= offers; ++k) {
+    if (keeps_copy(common::subseed(round_seed, 2 * k), keep_below[k])) {
+      slots[common::subseed(round_seed, 2 * k + 1) % m] =
+          static_cast<std::uint32_t>(k);
     }
   }
 }
@@ -346,7 +357,10 @@ std::vector<RevealOutcome> ReceiverCohort::drain(sim::SimTime true_now) {
   std::vector<std::pair<std::uint32_t, Round*>> split_rounds;
   for (auto& [interval, round] : rounds_) {
     if (!round.per_member()) replay_shared(round);
-    if (round.per_member()) split_rounds.emplace_back(interval, &round);
+    if (round.per_member()) {
+      split_rounds.emplace_back(interval, &round);
+      grow_keep_table(round.macs.size());
+    }
   }
 
   // A valid reveal on a shared round matches once, for every member.

@@ -39,6 +39,17 @@
 // parallel_for (index-addressed state only). A round never returns to
 // the shared form, and every outcome equals a replay that had kept
 // per-member state from the start.
+//
+// A full member's k-th offer is kept when the 53 high bits x = w >> 11
+// of its keep word w satisfy x · 2^-53 < fl(m/k), the double compare
+// of uniform [0, 1) against the rounded probability. The replay makes
+// the same decision in integers: x < keep_threshold(m, k) =
+// ⌈2^53 · fl(m/k)⌉. The two are equal, not just close: x < 2^53
+// converts to double exactly, scaling by 2^53 is exact, so the compare
+// is x < 2^53 · fl(m/k) over the reals, and for an integer x that is x
+// below the ceiling. The thresholds are tabulated per cohort, grown in
+// drain's serial section to the longest split round, and read-only in
+// the parallel phase. The victim word is drawn only for a kept copy.
 
 #include <cstdint>
 #include <functional>
@@ -192,6 +203,17 @@ class ReceiverCohort {
   /// Statistical members per task of drain's per-member phase.
   static constexpr std::size_t kMemberBlock = 256;
 
+  /// ⌈2^53 · fl(m/k)⌉ for k > m, 2^53 (keep always) for k <= m: a full
+  /// m-slot reservoir keeps its k-th offer iff keeps_copy(word, this).
+  [[nodiscard]] static std::uint64_t keep_threshold(std::size_t m,
+                                                    std::uint64_t k) noexcept;
+  /// The replay's keep test; equals (word >> 11) · 2^-53 < fl(m/k) (see
+  /// the header comment).
+  [[nodiscard]] static bool keeps_copy(std::uint64_t keep_word,
+                                       std::uint64_t threshold) noexcept {
+    return (keep_word >> 11) < threshold;
+  }
+
   [[nodiscard]] std::size_t members() const noexcept {
     return config_.members;
   }
@@ -260,6 +282,8 @@ class ReceiverCohort {
   /// that finds it full, allocates the per-member state and stops, with
   /// `replayed` at that offer, for replay_member to go on from.
   void replay_shared(Round& round) const;
+  /// Extends keep_below_ to cover offers [0, offers].
+  void grow_keep_table(std::size_t offers);
   /// Replays offers [round.replayed, macs.size()) for member `mi` using
   /// the stateless per-(member, interval, offer) draws.
   void replay_member(Round& round, std::uint32_t interval,
@@ -284,6 +308,8 @@ class ReceiverCohort {
   tesla::ChainAuthenticator auth_;
   protocol::DapReceiver sentinel_;
   std::map<std::uint32_t, Round> rounds_;
+  /// keep_threshold(m, k) at index k, up to the longest split round.
+  std::vector<std::uint64_t> keep_below_;
   std::vector<wire::MessageReveal> pending_;
   CohortStats stats_;
 

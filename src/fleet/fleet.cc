@@ -120,9 +120,7 @@ void FleetSim::inject(std::uint32_t node, const wire::Packet& packet) {
   DAP_REQUIRE(node < media_.size() && media_[node] != nullptr,
               "FleetSim::inject: node has no medium (no out-edges)");
   if (const auto* announce = std::get_if<wire::MacAnnounce>(&packet)) {
-    if (announce_sent_at_.count(common::fnv1a64(announce->mac)) == 0) {
-      ++report_.forged_announces_sent;
-    }
+    if (root_of(*announce) == nullptr) ++report_.forged_announces_sent;
   } else if (const auto* reveal = std::get_if<wire::MessageReveal>(&packet)) {
     if (is_forged_payload(reveal->message)) ++report_.forged_reveals_sent;
   }
@@ -294,9 +292,20 @@ void FleetSim::schedule_faults() {
   }
 }
 
+const FleetSim::RootAnnounce* FleetSim::root_of(
+    const wire::MacAnnounce& announce) const noexcept {
+  if (announce.interval >= root_announces_.size()) return nullptr;
+  const RootAnnounce& root = root_announces_[announce.interval];
+  if (root.mac.empty() ||
+      !common::constant_time_equal(root.mac, announce.mac)) {
+    return nullptr;
+  }
+  return &root;
+}
+
 bool FleetSim::is_authentic_packet(const wire::Packet& packet) const {
   if (const auto* announce = std::get_if<wire::MacAnnounce>(&packet)) {
-    return announce_sent_at_.count(common::fnv1a64(announce->mac)) != 0;
+    return root_of(*announce) != nullptr;
   }
   if (const auto* reveal = std::get_if<wire::MessageReveal>(&packet)) {
     return !is_forged_payload(reveal->message);
@@ -329,12 +338,11 @@ void FleetSim::on_packet(std::uint32_t from, std::uint32_t node,
     }
   }
   if (const auto* announce = std::get_if<wire::MacAnnounce>(&packet)) {
-    const auto sent = announce_sent_at_.find(common::fnv1a64(announce->mac));
-    if (sent != announce_sent_at_.end()) {
+    if (const RootAnnounce* root = root_of(*announce)) {
       const std::uint32_t d = depths_[node];
       ++announces_in_by_depth_[d];
       hop_latency_by_depth_[d].push_back(
-          static_cast<double>(now - sent->second));
+          static_cast<double>(now - root->sent_at));
       // First arrival of the authentic announce at this node: one
       // relay-hop span, chained to the upstream node's announce-path
       // span so chrome://tracing shows the cross-hop route.
@@ -344,7 +352,7 @@ void FleetSim::on_packet(std::uint32_t from, std::uint32_t node,
         TraceCtx& ctx = ctx_it->second;
         ctx.announce_arrived[node] = now;
         const sim::SimTime begin = (from == 0 || ctx.announce_arrived[from] == 0)
-                                       ? sent->second
+                                       ? root->sent_at
                                        : ctx.announce_arrived[from];
         obs::SpanEvent span;
         span.uid = common::subseed(ctx.trace_id, ++ctx.seq);
@@ -472,13 +480,14 @@ FleetReport FleetSim::run() {
 
   const sim::IntervalSchedule& sched = dap_config_.schedule;
   const sim::SimTime interval = spec_.interval_us;
+  root_announces_.resize(std::size_t{spec_.intervals} + 1);
   for (std::uint32_t i = 1; i <= spec_.intervals; ++i) {
     const sim::SimTime t_announce = sched.interval_start(i) + interval / 2;
     queue_.schedule_at(t_announce, [this, &sender, i] {
       const std::string payload = "m" + std::to_string(i);
       const wire::MacAnnounce announce =
           sender.announce(i, common::bytes_of(payload));
-      announce_sent_at_.emplace(common::fnv1a64(announce.mac), queue_.now());
+      root_announces_[i] = RootAnnounce{announce.mac, queue_.now()};
       ++report_.announces_sent;
       // Open this announce's trace: the root send span is the parent
       // every downstream relay-hop/verify span chains back to.

@@ -240,10 +240,18 @@ class FleetSim {
   std::map<std::pair<std::uint32_t, std::uint32_t>,
            std::shared_ptr<sim::FaultSchedule>>
       partition_windows_;
-  /// Authentic announce MACs (hashed) -> root send time, for per-depth
-  /// hop-latency accounting of the genuine control stream. Ordered map:
-  /// output-adjacent state must be deterministic by construction.
-  std::map<std::uint64_t, sim::SimTime> announce_sent_at_;
+  /// The sender's one authentic announce per interval, indexed by
+  /// interval (empty MAC until sent), with its root send time, for
+  /// per-depth hop-latency accounting of the genuine control stream.
+  struct RootAnnounce {
+    common::Bytes mac;
+    sim::SimTime sent_at = 0;
+  };
+  std::vector<RootAnnounce> root_announces_;
+  /// The root record when `announce` is its interval's authentic
+  /// announce (same interval, same MAC tag), else null.
+  [[nodiscard]] const RootAnnounce* root_of(
+      const wire::MacAnnounce& announce) const noexcept;
   std::vector<std::uint64_t> announces_in_by_depth_;
   /// Per-depth hop latencies of authentic announce arrivals since the
   /// last flush_live_telemetry(), which moves them into the registry.
@@ -275,9 +283,9 @@ class FleetSim {
     /// First authentic-reveal arrival time per node (0 = not yet).
     std::vector<sim::SimTime> reveal_arrived;
   };
-  /// Ordered for the same reason as announce_sent_at_: span emission
-  /// consults this per packet, and exports must not be able to inherit
-  /// hash-seeded ordering even accidentally.
+  /// Ordered because output-adjacent state must be deterministic by
+  /// construction: span emission consults this per packet, and exports
+  /// must not be able to inherit hash-seeded ordering even accidentally.
   std::map<std::uint32_t, TraceCtx> trace_by_interval_;
   std::uint64_t trace_base_ = 0;
 

@@ -675,6 +675,146 @@ TEST(Cohort, SharedReservoirMatchesParentReplay) {
   }
 }
 
+// Fixed-seed flooded cohort run. Each round delivers its offers in
+// equal chunks, one drain after each; a chunk's first offer is an
+// authentic announce (message "c<chunk>"), the rest are forged. Before
+// every drain after the first, the previous chunk's message is
+// revealed, so its match consumes slots that the next chunk's offers
+// refill; the last drain also reveals the last chunk's message.
+// Intermediate drains run inside the interval, where the previous
+// round is still live, so two split rounds replay in one drain. The
+// cohort crash-restarts after round 3. Each drain appends its members'
+// outcomes, then member_auths, member_auth_misses, stored_records and
+// stored_for_interval(i).
+std::vector<std::uint64_t> flooded_replay_trace(std::size_t m,
+                                                std::size_t stat_members) {
+  fleet::CohortConfig config = cohort_config(stat_members + 1, 60 + m);
+  config.dap.buffers = m;
+  protocol::DapSender sender(config.dap, common::Rng(2).bytes(16));
+  fleet::ReceiverCohort cohort(config, sender.chain().commitment());
+  sim::FloodingForger forger(config.dap.sender_id, config.dap.mac_size,
+                             common::Rng(93));
+  std::vector<std::uint64_t> trace;
+  struct RoundPlan {
+    std::size_t offers;
+    std::size_t drains;
+  };
+  const RoundPlan rounds[] = {{50, 1}, {300, 3}, {50, 2}, {300, 2}};
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    const std::uint32_t i = r + 1;
+    const RoundPlan plan = rounds[r];
+    const sim::SimTime t = announce_time(config.dap, i);
+    for (std::size_t c = 0; c < plan.drains; ++c) {
+      const std::string message = "c" + std::to_string(c);
+      cohort.receive_announce(sender.announce(i, common::bytes_of(message)),
+                              t);
+      for (std::size_t n = 1; n < plan.offers / plan.drains; ++n) {
+        cohort.receive_announce(forger.forge(i), t);
+      }
+      if (c > 0) cohort.enqueue_reveal(sender.reveal(i, c - 1));
+      const bool last = c + 1 == plan.drains;
+      if (last) cohort.enqueue_reveal(sender.reveal(i, c));
+      for (const auto& outcome :
+           cohort.drain(last ? drain_time(config.dap, i) : t)) {
+        trace.push_back(outcome.members_authenticated);
+      }
+      const fleet::CohortStats& st = cohort.stats();
+      trace.insert(trace.end(), {st.member_auths, st.member_auth_misses,
+                                 st.stored_records,
+                                 cohort.stored_for_interval(i)});
+    }
+    if (r == 2) cohort.crash_restart(drain_time(config.dap, i));
+  }
+  return trace;
+}
+
+TEST(Cohort, FloodedReplayMatchesParentReplay) {
+  // Captured from the replay that predates the integer keep threshold
+  // and the keep-only victim draw: rounds far past m offers, refilled
+  // after matches, must not change one outcome.
+  struct Golden {
+    std::size_t m;
+    std::size_t stat_members;
+    std::vector<std::uint64_t> trace;
+  };
+  const std::vector<Golden> golden = {
+      {1, 1, {0, 0, 1, 1, 1, 0, 1, 2, 1, 0, 0, 2, 2, 1, 0, 0, 0, 4, 2, 1, 0, 4,
+              2, 1, 0, 0, 0, 6, 2, 1, 0, 6, 1, 1, 0, 0, 0, 8, 1, 1}},
+      {1, 257, {6, 6, 251, 251, 251, 6, 251, 508, 257, 0, 6, 508, 508, 257, 1,
+                0, 7, 1021, 507, 256, 7, 1021, 513, 257, 4, 6, 17, 1525, 503,
+                247, 17, 1525, 257, 257, 1, 1, 19, 2037, 255, 255}},
+      {1, 600, {14, 14, 586, 586, 586, 14, 586, 1186, 600, 2, 16, 1184, 1184,
+                598, 2, 1, 19, 2381, 1183, 597, 19, 2381, 1197, 600, 7, 16, 42,
+                3558, 1174, 577, 42, 3558, 600, 600, 1, 5, 48, 4752, 594, 594}},
+      {2, 1, {0, 0, 1, 2, 2, 0, 1, 4, 2, 0, 0, 2, 4, 2, 0, 0, 0, 4, 4, 2, 0, 4,
+              4, 2, 0, 0, 0, 6, 4, 2, 0, 6, 2, 2, 0, 0, 0, 8, 2, 2}},
+      {2, 257, {16, 16, 241, 498, 498, 16, 241, 1012, 514, 3, 19, 495, 1009,
+                511, 1, 2, 22, 1006, 1009, 511, 22, 1006, 1025, 514, 7, 9, 38,
+                1504, 1009, 498, 38, 1504, 514, 514, 0, 1, 39, 2017, 513, 513}},
+      {2, 600, {32, 32, 568, 1168, 1168, 32, 568, 2368, 1200, 8, 40, 1160, 2360,
+                1192, 7, 6, 53, 2347, 2355, 1187, 53, 2347, 2387, 1200, 22, 23,
+                98, 3502, 2342, 1155, 98, 3502, 1200, 1200, 2, 2, 102, 4698,
+                1196, 1196}},
+      {4, 1, {0, 0, 1, 4, 4, 0, 1, 8, 4, 0, 0, 2, 8, 4, 0, 0, 0, 4, 8, 4, 0, 4,
+              8, 4, 0, 0, 0, 6, 8, 4, 0, 6, 4, 4, 0, 0, 0, 8, 4, 4}},
+      {4, 257, {18, 18, 239, 1010, 1010, 18, 239, 2038, 1028, 5, 23, 491, 2033,
+                1023, 5, 8, 36, 992, 2025, 1015, 36, 992, 2043, 1028, 23, 24,
+                83, 1459, 1996, 981, 83, 1459, 1028, 1028, 6, 6, 95, 1961, 1016,
+                1016}},
+      {4, 600, {53, 53, 547, 2347, 2347, 53, 547, 4747, 2400, 13, 66, 1134,
+                4734, 2387, 6, 16, 88, 2312, 4725, 2378, 88, 2312, 4778, 2400,
+                49, 53, 190, 3410, 4676, 2298, 190, 3410, 2400, 2400, 11, 10,
+                211, 4589, 2379, 2379}},
+      {16, 1, {1, 1, 0, 15, 15, 1, 0, 31, 16, 0, 1, 1, 31, 16, 0, 0, 1, 3, 31,
+               16, 1, 3, 32, 16, 0, 0, 1, 5, 32, 16, 1, 5, 16, 16, 0, 0, 1, 7,
+               16, 16}},
+      {16, 257, {80, 80, 177, 4032, 4032, 80, 177, 8144, 4112, 12, 92, 422,
+                 8132, 4100, 14, 21, 127, 901, 8109, 4077, 127, 901, 8189, 4112,
+                 85, 67, 279, 1263, 8037, 3960, 279, 1263, 4112, 4112, 13, 21,
+                 313, 1743, 4078, 4078}},
+      {16, 600, {189, 189, 411, 9411, 9411, 189, 411, 19011, 9600, 37, 226, 974,
+                 18974, 9563, 31, 52, 309, 2091, 18928, 9517, 309, 2091, 19117,
+                 9600, 190, 177, 676, 2924, 18750, 9233, 676, 2924, 9600, 9600,
+                 30, 43, 749, 4051, 9527, 9527}},
+  };
+  for (const Golden& g : golden) {
+    EXPECT_EQ(flooded_replay_trace(g.m, g.stat_members), g.trace)
+        << "m=" << g.m << " stat_members=" << g.stat_members;
+  }
+}
+
+TEST(Cohort, KeepThresholdEqualsDoubleCompare) {
+  // The replay keeps the k-th offer iff (w >> 11) < keep_threshold(m, k);
+  // the draw it replaced kept it iff unit_double(w) < m/k in doubles.
+  // Probe both around every threshold and at the ends of the range.
+  using fleet::ReceiverCohort;
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 53) - 1;
+  std::uint64_t mismatches = 0;
+  for (std::size_t m = 1; m <= 64; ++m) {
+    for (std::uint64_t k = m + 1; k <= 65536; ++k) {
+      const double p = static_cast<double>(m) / static_cast<double>(k);
+      const std::uint64_t threshold = ReceiverCohort::keep_threshold(m, k);
+      for (const std::uint64_t x :
+           {std::uint64_t{0}, threshold - 1, threshold,
+            std::min(threshold + 1, kTop), kTop}) {
+        for (const std::uint64_t low :
+             {std::uint64_t{0}, std::uint64_t{0x7ff}}) {
+          const std::uint64_t word = (x << 11) | low;
+          const bool by_double =
+              static_cast<double>(word >> 11) * 0x1.0p-53 < p;
+          if (ReceiverCohort::keeps_copy(word, threshold) != by_double) {
+            if (mismatches == 0) {
+              ADD_FAILURE() << "m=" << m << " k=" << k << " x=" << x;
+            }
+            ++mismatches;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(Cohort, DrainOutcomesCarryRevealVerdicts) {
   const fleet::CohortConfig config = cohort_config(8, 5);
   protocol::DapSender sender(config.dap, common::Rng(1).bytes(16));

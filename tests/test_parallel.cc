@@ -40,13 +40,35 @@ class ThreadGuard {
 // ------------------------------------------------------------- sub-seeds
 
 TEST(Subseed, DeterministicAndFixedForAllTime) {
-  EXPECT_EQ(common::subseed(42, 0), common::subseed(42, 0));
-  EXPECT_EQ(common::subseed(42, 7), common::subseed(42, 7));
-  // The mapping is part of the reproducibility contract: pin one value
-  // so accidental algorithm changes fail loudly.
-  const std::uint64_t pinned = common::subseed(42, 0);
-  EXPECT_EQ(common::subseed(42, 0), pinned);
-  EXPECT_NE(pinned, 0u);
+  // The mapping is part of the reproducibility contract: every seeded
+  // run, cohort draw and pinned golden derives from it. Known answers,
+  // so an accidental algorithm change fails loudly.
+  struct Known {
+    std::uint64_t base;
+    std::uint64_t index;
+    std::uint64_t value;
+  };
+  const Known known[] = {
+      {0, 0, 0x6e789e6aa1b965f4ULL},
+      {0, 1, 0x06c45d188009454fULL},
+      {0, ~0ULL - 1, 0},  // the state sums to zero, and so does the mix
+      {0, ~0ULL, 0xe220a8397b1dcdafULL},
+      {1, 7, 0x491718de357e3da8ULL},
+      {1, ~0ULL, 0x910a2dec89025cc1ULL},
+      {42, 0, 0x28efe333b266f103ULL},
+      {42, 7, 0xcc868f8d9bd23f76ULL},
+      {42, 1ULL << 32, 0x11894513d4a0bcf6ULL},
+      {0x9e3779b97f4a7c15ULL, 1, 0xba0278ba8f42eb34ULL},
+      {~0ULL, 0, 0xb4d055fcf2cbbd7bULL},
+      {~0ULL, 1, 0xde0a564cbcd060c4ULL},
+      {~0ULL, 1ULL << 32, 0x9011e6053017523eULL},
+      {~0ULL, ~0ULL - 1, 0xe99ff867dbf682c9ULL},
+      {~0ULL, ~0ULL, 0xe4d971771b652c20ULL},
+  };
+  for (const Known& k : known) {
+    EXPECT_EQ(common::subseed(k.base, k.index), k.value)
+        << "subseed(" << k.base << ", " << k.index << ")";
+  }
 }
 
 TEST(Subseed, DistinctAcrossIndicesAndBases) {
